@@ -22,9 +22,7 @@ from .privacy import (
     split_budget,
 )
 from .transform import (
-    NoisyMatrix,
     clamp_pvalues,
-    generate_noisy_matrix,
     noisy_p_gaussian,
     noisy_p_laplace,
     noisy_row,

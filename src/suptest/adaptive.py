@@ -5,31 +5,29 @@ excess Q(p) - Q(tau) of a uniform p-value conditioned on p > tau, which
 for the normal quantile has the closed form phi(Q(tau))/(1-tau) - Q(tau).
 
 The adaptive test splits a mu-GDP budget: a fraction rho (as squared mu)
-privately releases pi0_hat, the rest drives the peeling matrix with the
+privately releases pi0_hat, the rest drives reversed peeling with the
 peeling number m* and all thresholds scaled by 1/pi0_hat.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .numerics import RandomStream, std_normal_pdf, std_normal_quantile
-from .privacy import split_budget
+from .peeling import reversed_peel
+from .privacy import NoiseScales, calibrate_peeling_scales, split_budget
 from .thresholds import (
     AdaptiveInfo,
     RejectionResult,
     TestConfig,
     ThresholdFamily,
     budget_as_mu,
-    reject_from_matrix,
-    with_adaptive_info,
+    reject_peeled,
 )
-from .transform import generate_noisy_matrix
-from .privacy import NoiseScales, calibrate_peeling_scales
 
 __all__ = [
     "AdaptiveConfig",
@@ -84,7 +82,7 @@ def e_tau(tau: float) -> float:
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0,1)")
     q = std_normal_quantile(tau)
-    return std_normal_pdf(q) / (1.0 - tau) - q
+    return float(std_normal_pdf(q) / (1.0 - tau) - q)
 
 
 def _checked_pvals(pvals) -> np.ndarray:
@@ -172,7 +170,7 @@ def pi0_hat(pi0_inv_val: float, sigma_tau: float, noise: float, c0: float = 0.5)
         raise ValueError("sigma_tau must be nonnegative")
     v = pi0_inv_val + sigma_tau * noise
     v = min(max(v, 1.0), 1.0 / c0)
-    return 1.0 / v
+    return float(1.0 / v)
 
 
 def adaptive_sup_test(
@@ -207,19 +205,17 @@ def adaptive_sup_test(
     inv_bar = pi0_inv_bar(p, acfg.tau, acfg.c0)
     p0_hat = pi0_hat(inv_bar, sigma_tau, z, acfg.c0)
 
-    c = resolve_c(acfg, config.alpha)
-    m_star_raw = math.ceil((1.0 + c) * p.size * (1.0 - p0_hat))
-    m_star = int(min(max(m_star_raw, acfg.m_tilde), p.size))
+    m_star = peel_count_m_dagger(p0_hat, 0.0, p.size, acfg, config.alpha)
 
     if config.sigma_override is not None:
         s0, s1 = config.sigma_override
         scales = NoiseScales(float(s0), float(s1))
     else:
         scales = calibrate_peeling_scales(mu_peel, config.gs, m_star)
-    matrix = generate_noisy_matrix(p, m_star, scales, stream.child(1), "gaussian")
+    peel = reversed_peel(p, m_star, scales, stream.child(1), "gaussian")
     family = ThresholdFamily(config.family, config.alpha, p.size,
                              pi0_inv_scale=1.0 / p0_hat)
-    result = reject_from_matrix(matrix, family, config.resolved_zeta())
+    result = reject_peeled(peel, family, config.resolved_zeta())
     info = AdaptiveInfo(pi0_hat=p0_hat, m_star=m_star,
                         pi0_inv_bar=inv_bar, sigma_tau=sigma_tau)
-    return with_adaptive_info(result, info)
+    return replace(result, adaptive_info=info)

@@ -1,9 +1,30 @@
 """Reversed peeling and the forward-peeling baseline.
 
-Reversed peeling consumes a pre-generated noisy matrix: round k removes
-the index minimizing peeling row k over the surviving set, and the
-inference row (row 0) is only ever read at the peeled indices. The
-forward baseline instead adds fresh noise each round, as the classic
+Reversed peeling releases the inference values of m_peel hypotheses. In
+peeling round k (k = 1..m_peel) a fresh noise row is drawn from
+stream.child(k), and the surviving index with the smallest noisy p-value
+is peeled, ties toward the smallest index. The inference row, drawn from
+stream.child(0), is only ever read at the peeled indices.
+
+No (1 + m_peel) x m matrix is built. The transform is monotone in the key
+Phi^-1(p) + z (see transform.py), so each round takes the first argmin of
+the key over the survivors and drops the row; the inference row is
+transformed at the m_peel peeled indices only. Memory is O(m) and each
+round costs one noise draw plus two passes over the keys.
+
+Tie rule: the transform's clip to [1e-300, 1 - 1e-16], and rounding, can
+give distinct keys the same noisy p-value, which the rule above breaks
+toward the smallest index, not toward the smaller key. A round is
+therefore decided by its smallest key only if the noisy p-value of its
+second-smallest surviving key is strictly larger; otherwise the whole
+surviving row is transformed and its first minimiser taken. The rounds
+record their two smallest keys, one transform of all of them afterwards
+finds the rounds that need the rule, and the rounds rerun from the first
+of those. That happens only where the CDF saturates or rounds nearby keys
+together. The result equals peeling the full matrix of noisy p-values
+row by row.
+
+The forward baseline instead adds fresh noise each round, as the classic
 private BH pipeline does.
 """
 
@@ -13,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RandomStream
-from .transform import NoisyMatrix
+from .numerics import RandomStream, std_normal_quantile
+from .privacy import NoiseScales
+from .transform import NOISE_KINDS, clamp_pvalues, draw_noise, key_to_noisy_p
 
 __all__ = ["PeelOutcome", "reversed_peel", "forward_peel_baseline"]
 
@@ -23,7 +45,7 @@ __all__ = ["PeelOutcome", "reversed_peel", "forward_peel_baseline"]
 class PeelOutcome:
     """Peeled indices in peel order plus their inference-row values.
 
-    inference_pvals[k] is row 0 of the matrix at column peeled_indices[k];
+    inference_pvals[k] is the inference row at index peeled_indices[k];
     the order is the peel order, not sorted.
     """
 
@@ -31,27 +53,91 @@ class PeelOutcome:
     inference_pvals: np.ndarray
 
 
-def reversed_peel(matrix: NoisyMatrix) -> PeelOutcome:
-    """Run the peeling rounds over the matrix's peeling rows.
+def reversed_peel(
+    pvals,
+    m_peel: int,
+    scales: NoiseScales,
+    stream: RandomStream,
+    noise_kind: str = "gaussian",
+) -> PeelOutcome:
+    """Peel m_peel hypotheses and release their inference values.
 
-    Round k (k = 1..m_peel) selects argmin of row k over the indices not
-    yet peeled; ties break toward the smallest index. Returns the peel
-    order together with the row-0 values at those indices.
+    Round k draws its noise from stream.child(k) at scale scales.sigma1
+    and the inference row from stream.child(0) at scales.sigma0. A zero
+    scale draws nothing and uses the clamped p-values themselves, so with
+    sigma1 = 0 the peel order is the stable sort order of the p-values.
+
+    Args:
+        pvals: raw p-values, nonempty.
+        m_peel: number of peeling rounds, in [1, len(pvals)].
+        scales: noise scales from the privacy calibration.
+        stream: root stream of this release.
+        noise_kind: "gaussian" or "laplace".
     """
-    rows = matrix.rows
-    m_peel, m = matrix.m_peel, matrix.m
+    pc = clamp_pvalues(pvals)
+    if pc.size == 0:
+        raise ValueError("pvals must be nonempty")
     if m_peel < 1:
-        raise ValueError("matrix must contain at least one peeling row")
-    if m_peel > m:
+        raise ValueError("m_peel must be a positive integer")
+    if m_peel > pc.size:
         raise ValueError("cannot peel more indices than hypotheses")
-    alive = np.ones(m, dtype=bool)
+    if noise_kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {noise_kind!r}")
+    q = None if scales.sigma0 == scales.sigma1 == 0.0 else std_normal_quantile(pc)
+    if scales.sigma1 == 0.0:
+        order = np.argsort(pc, kind="stable")[:m_peel]
+    else:
+        order = _peel_rounds(q, m_peel, scales.sigma1, stream, noise_kind)
+    if scales.sigma0 == 0.0:
+        return PeelOutcome(order, pc[order])
+    z = draw_noise(stream.child(0), scales.sigma0, pc.size, noise_kind)
+    return PeelOutcome(order, key_to_noisy_p(q[order] + z[order], scales.sigma0, noise_kind))
+
+
+def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, stream: RandomStream,
+                 noise_kind: str) -> np.ndarray:
+    """Peel order of rounds 1..m_peel, round k keyed by q plus a fresh row
+    of noise from stream.child(k); the tie rule is applied from the first
+    round that needs it (see the module docstring)."""
     order = np.empty(m_peel, dtype=np.intp)
-    for k in range(1, m_peel + 1):
-        # argmin returns the first minimizer, i.e. the smallest index
-        j = int(np.argmin(np.where(alive, rows[k], np.inf)))
-        order[k - 1] = j
+    noisy = key_to_noisy_p(_rounds(q, order, 0, scale, stream, noise_kind, False),
+                           scale, noise_kind)
+    tied = np.flatnonzero(noisy[:, 1] <= noisy[:, 0])
+    if tied.size:
+        _rounds(q, order, int(tied[0]), scale, stream, noise_kind, True)
+    return order
+
+
+def _rounds(q: np.ndarray, order: np.ndarray, start: int, scale: float,
+            stream: RandomStream, noise_kind: str, tie_rule: bool) -> np.ndarray:
+    """Fills order[start:] with the picks of rounds start+1..m_peel, given
+    the picks in order[:start]. Returns the two smallest surviving keys of
+    each of those rounds that has two survivors. With tie_rule, a round
+    whose second-smallest key's noisy p-value is not larger than its
+    smallest key's is decided on its whole transformed surviving row."""
+    m, m_peel = q.size, order.size
+    alive = np.ones(m, dtype=bool)
+    alive[order[:start]] = False
+    pairs = np.empty((min(m_peel, m - 1) - start, 2))
+    for k in range(start, m_peel):
+        key = q + draw_noise(stream.child(k + 1), scale, m, noise_kind)
+        key[order[:k]] = np.inf
+        j = int(np.argmin(key))
+        if k + 1 < m:
+            lo = key[j]
+            key[j] = np.inf
+            pair = pairs[k - start]
+            pair[:] = lo, key.min()
+            key[j] = lo
+            if tie_rule:
+                p_lo, p_second = key_to_noisy_p(pair, scale, noise_kind)
+                if p_second <= p_lo:
+                    survivors = np.flatnonzero(alive)
+                    j = int(survivors[np.argmin(key_to_noisy_p(key[survivors], scale,
+                                                                noise_kind))])
+        order[k] = j
         alive[j] = False
-    return PeelOutcome(order, rows[0, order])
+    return pairs
 
 
 def forward_peel_baseline(

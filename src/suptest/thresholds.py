@@ -14,13 +14,13 @@ variants set it to 1/pi0_hat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import peeling
 from .numerics import RandomStream
-from .peeling import PeelOutcome, reversed_peel
 from .privacy import (
     NoiseScales,
     PrivacyBudget,
@@ -28,7 +28,7 @@ from .privacy import (
     calibrate_peeling_scales,
     experiment_mu,
 )
-from .transform import NoisyMatrix, generate_noisy_matrix, noisy_row
+from .transform import noisy_row
 
 __all__ = [
     "FAMILIES",
@@ -40,7 +40,7 @@ __all__ = [
     "threshold_value",
     "threshold_values",
     "select_step",
-    "reject_from_matrix",
+    "reject_peeled",
     "reject_truncated",
     "sup_test",
     "truncated_sup_test",
@@ -107,7 +107,7 @@ class AdaptiveInfo:
 
 @dataclass(frozen=True)
 class RejectionResult:
-    peeled: PeelOutcome
+    peeled: peeling.PeelOutcome
     j_star: int
     rejected_indices: np.ndarray
     thresholds_used: np.ndarray
@@ -164,9 +164,9 @@ def select_step(sorted_pvals, family: ThresholdFamily, zeta: int) -> int:
     return int(violations[0]) if violations.size else int(s.size)
 
 
-def reject_from_matrix(matrix: NoisyMatrix, family: ThresholdFamily, zeta: int) -> RejectionResult:
-    """Peel the matrix, sort the peeled inference values, select, reject."""
-    peel = reversed_peel(matrix)
+def reject_peeled(peel: peeling.PeelOutcome, family: ThresholdFamily,
+                  zeta: int) -> RejectionResult:
+    """Sort the peeled inference values, select, reject."""
     order = np.argsort(peel.inference_pvals, kind="stable")
     j_star = select_step(peel.inference_pvals[order], family, zeta)
     rejected = np.sort(peel.peeled_indices[order[:j_star]])
@@ -181,7 +181,7 @@ def reject_truncated(row0, family: ThresholdFamily, zeta: int) -> RejectionResul
     j_star = select_step(row0[order], family, zeta)
     rejected = np.sort(order[:j_star])
     lam = threshold_values(family, np.arange(1, row0.size + 1))
-    peel = PeelOutcome(np.arange(row0.size), row0)
+    peel = peeling.PeelOutcome(np.arange(row0.size), row0)
     return RejectionResult(peel, j_star, rejected, lam)
 
 
@@ -215,7 +215,7 @@ def _check_m_peel(m_peel: int, m: int):
 
 
 def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -> RejectionResult:
-    """Full private test: calibrate, generate the noisy matrix, peel, select.
+    """Full private test: calibrate, peel, select.
 
     Args:
         pvals: raw p-values.
@@ -231,9 +231,9 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
     scales = resolve_scales(config, config.m_peel)
     if stream is None:
         stream = RandomStream(config.seed)
-    matrix = generate_noisy_matrix(p, config.m_peel, scales, stream, config.noise_kind)
+    peel = peeling.reversed_peel(p, config.m_peel, scales, stream, config.noise_kind)
     family = ThresholdFamily(config.family, config.alpha, p.size)
-    return reject_from_matrix(matrix, family, config.resolved_zeta())
+    return reject_peeled(peel, family, config.resolved_zeta())
 
 
 def truncated_sup_test(
@@ -254,7 +254,3 @@ def truncated_sup_test(
     row0 = noisy_row(p, scales.sigma0, stream.child(0), config.noise_kind)
     family = ThresholdFamily(config.family, config.alpha, p.size)
     return reject_truncated(row0, family, config.resolved_zeta())
-
-
-def with_adaptive_info(result: RejectionResult, info: AdaptiveInfo) -> RejectionResult:
-    return replace(result, adaptive_info=info)

@@ -1,30 +1,37 @@
 """Super-uniformity-preserving noisy p-value transform.
 
-A raw p-value is mapped to the normal-quantile scale, perturbed with
-calibrated noise, and mapped back through the CDF of quantile-plus-noise.
-Because that CDF matches the distribution of the perturbed statistic
-under a uniform p-value, a super-uniform input stays super-uniform.
+A raw p-value is clamped, mapped to the normal-quantile scale
+Q = Phi^-1(p), perturbed with calibrated noise z, and mapped back through
+the CDF of quantile-plus-noise. Because that CDF matches the distribution
+of the perturbed statistic under a uniform p-value, a super-uniform input
+stays super-uniform.
+
+The transform is split in two: `draw_noise` draws z, and `key_to_noisy_p`
+maps keys Q(p) + z to noisy p-values. That map is nondecreasing, so a
+caller can rank hypotheses by key and transform only the values it
+releases. Its output is clipped to [1e-300, 1 - 1e-16] to stay strictly
+inside (0,1) where the CDF saturates; the clip, like rounding, can map
+distinct keys to one value, which is why reversed peeling needs a tie
+rule (see peeling.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import RandomStream, normal_laplace_cdf, std_normal_cdf, std_normal_quantile
-from .privacy import NoiseScales
 
 __all__ = [
     "P_CLAMP",
     "NOISE_KINDS",
-    "NoisyMatrix",
     "clamp_pvalues",
     "noisy_p_gaussian",
     "noisy_p_laplace",
+    "draw_noise",
+    "key_to_noisy_p",
     "noisy_row",
-    "generate_noisy_matrix",
 ]
 
 # Phi^-1 diverges at 0 and 1; real pipelines do produce exact 0/1 p-values.
@@ -32,28 +39,9 @@ P_CLAMP = 1e-15
 
 NOISE_KINDS = ("gaussian", "laplace")
 
-# keep matrix entries strictly inside (0,1) even when the CDF saturates
+# keep released values strictly inside (0,1) even when the CDF saturates
 _ENTRY_LO = 1e-300
 _ENTRY_HI = 1.0 - 1e-16
-
-
-@dataclass(frozen=True)
-class NoisyMatrix:
-    """(1 + m_peel) x m noisy p-values: row 0 is the inference set, rows
-    1..m_peel the peeling sets."""
-
-    rows: np.ndarray
-    sigma0: float
-    sigma1: float
-    noise_kind: str = "gaussian"
-
-    @property
-    def m(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def m_peel(self) -> int:
-        return self.rows.shape[0] - 1
 
 
 def clamp_pvalues(pvals) -> np.ndarray:
@@ -91,17 +79,24 @@ def noisy_p_laplace(p, b, z):
     return normal_laplace_cdf(std_normal_quantile(pc) + z, b)
 
 
-def _row_from_quantiles(q: np.ndarray, scale: float, stream: RandomStream,
-                        noise_kind: str) -> np.ndarray:
-    # scale > 0; one fresh generator per row keeps rows order-independent
+def draw_noise(stream: RandomStream, scale: float, size: int, noise_kind: str) -> np.ndarray:
+    """size i.i.d. noise values of the given kind and scale > 0, drawn from
+    a fresh generator at the start of `stream`."""
     gen = stream.generator()
     if noise_kind == "gaussian":
-        z = gen.normal(0.0, scale, q.size)
-        row = std_normal_cdf((q + z) / math.sqrt(1.0 + scale * scale))
+        return gen.normal(0.0, scale, size)
+    return gen.laplace(0.0, scale, size)
+
+
+def key_to_noisy_p(keys: np.ndarray, scale: float, noise_kind: str) -> np.ndarray:
+    """Noisy p-values from keys Phi^-1(p) + z with noise scale > 0, clipped
+    to [1e-300, 1 - 1e-16]. Elementwise, so any subset of keys maps to the
+    same values it would inside a full row."""
+    if noise_kind == "gaussian":
+        out = std_normal_cdf(keys / math.sqrt(1.0 + scale * scale))
     else:
-        z = gen.laplace(0.0, scale, q.size)
-        row = normal_laplace_cdf(q + z, scale)
-    return np.clip(row, _ENTRY_LO, _ENTRY_HI)
+        out = normal_laplace_cdf(keys, scale)
+    return np.clip(out, _ENTRY_LO, _ENTRY_HI)
 
 
 def noisy_row(pvals, scale: float, stream: RandomStream, noise_kind: str) -> np.ndarray:
@@ -115,45 +110,5 @@ def noisy_row(pvals, scale: float, stream: RandomStream, noise_kind: str) -> np.
     pc = clamp_pvalues(pvals)
     if scale == 0.0:
         return pc
-    return _row_from_quantiles(std_normal_quantile(pc), scale, stream, noise_kind)
-
-
-def generate_noisy_matrix(
-    pvals,
-    m_peel: int,
-    scales: NoiseScales,
-    stream: RandomStream,
-    noise_kind: str = "gaussian",
-) -> NoisyMatrix:
-    """Generate the (1 + m_peel) x m matrix of noisy p-values.
-
-    Row 0 uses scales.sigma0, rows 1..m_peel use scales.sigma1. Row k draws
-    from stream.child(k), so rows are order-independent and a separate
-    caller can regenerate any single row bit-identically.
-
-    Args:
-        pvals: raw p-values, nonempty.
-        m_peel: number of peeling rows, >= 1.
-        scales: noise scales from the privacy calibration.
-        stream: root stream for this matrix.
-        noise_kind: "gaussian" or "laplace".
-    """
-    p = np.asarray(pvals, dtype=float)
-    if p.size == 0:
-        raise ValueError("pvals must be nonempty")
-    if m_peel < 1:
-        raise ValueError("m_peel must be a positive integer")
-    if noise_kind not in NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {noise_kind!r}")
-    pc = clamp_pvalues(p)
-    q = None
-    rows = np.empty((1 + m_peel, p.size))
-    for k in range(1 + m_peel):
-        scale = scales.sigma0 if k == 0 else scales.sigma1
-        if scale == 0.0:
-            rows[k] = pc
-            continue
-        if q is None:
-            q = std_normal_quantile(pc)
-        rows[k] = _row_from_quantiles(q, scale, stream.child(k), noise_kind)
-    return NoisyMatrix(rows, scales.sigma0, scales.sigma1, noise_kind)
+    keys = std_normal_quantile(pc) + draw_noise(stream, scale, pc.size, noise_kind)
+    return key_to_noisy_p(keys, scale, noise_kind)

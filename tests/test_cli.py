@@ -97,8 +97,12 @@ def test_run_adaptive_reports_pi0(pfile, capsys):
     assert main(["run", "--input", str(path), "--method", "asup-bh",
                  "--m-tilde", "10"]) == 0
     summary = capsys.readouterr().out.strip().split("\n")[-1]
-    assert "pi0_hat=" in summary
     assert "m_peel=" in summary
+    token = [t for t in summary.split() if t.startswith("pi0_hat=")]
+    assert len(token) == 1
+    value = token[0][len("pi0_hat="):]
+    assert "np." not in value
+    assert 0.0 < float(value) <= 1.0
 
 
 def test_run_dp_rows_leave_noisy_blank(pfile, capsys):

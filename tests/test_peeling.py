@@ -1,26 +1,53 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from suptest.numerics import RandomStream
+from dense_oracle import dense_reversed_peel, generate_noisy_matrix
+from suptest.numerics import RandomStream, std_normal_cdf
 from suptest.peeling import PeelOutcome, forward_peel_baseline, reversed_peel
-from suptest.transform import NoisyMatrix
+from suptest.privacy import NoiseScales
+from suptest.transform import noisy_row
 
 
-def _matrix(rows):
+class _FixedStream:
+    """Stream stand-in: every draw from child k returns noise row k, so with
+    p = 0.5 (quantile 0) the peeling keys are the rows themselves."""
+
+    def __init__(self, rows, path=()):
+        self.rows, self.path = np.asarray(rows, dtype=float), path
+
+    def child(self, index):
+        return _FixedStream(self.rows, self.path + (index,))
+
+    def generator(self):
+        row = self.rows[self.path[-1]]
+
+        def draw(loc, scale, size):
+            return row.copy()
+        return SimpleNamespace(normal=draw, laplace=draw)
+
+
+def _peel_keys(rows, noise_kind="gaussian"):
     rows = np.asarray(rows, dtype=float)
-    return NoisyMatrix(rows, 0.1, 0.2)
+    p = np.full(rows.shape[1], 0.5)
+    return reversed_peel(p, rows.shape[0] - 1, NoiseScales(1.0, 1.0),
+                         _FixedStream(rows), noise_kind)
 
 
 def test_reversed_peel_hand_instance():
-    # row 1 picks index 2, row 2 then picks index 0
+    # round 1 picks index 2, round 2 then picks index 0
     rows = [
-        [0.10, 0.20, 0.30, 0.40],   # inference row
+        [0.10, 0.20, 0.30, 0.40],   # inference noise
         [0.50, 0.60, 0.05, 0.70],
         [0.01, 0.02, 0.00, 0.90],   # index 2 already gone -> index 0
     ]
-    out = reversed_peel(_matrix(rows))
+    out = _peel_keys(rows)
     assert np.array_equal(out.peeled_indices, [2, 0])
-    assert np.array_equal(out.inference_pvals, [0.30, 0.10])
+    expect = std_normal_cdf(np.array([0.30, 0.10]) / math.sqrt(2))
+    assert np.array_equal(out.inference_pvals, expect)
 
 
 def test_reversed_peel_tie_breaks_to_smallest_index():
@@ -29,23 +56,84 @@ def test_reversed_peel_tie_breaks_to_smallest_index():
         [0.5, 0.5, 0.5],
         [0.7, 0.7, 0.7],
     ]
-    out = reversed_peel(_matrix(rows))
+    out = _peel_keys(rows)
     assert np.array_equal(out.peeled_indices, [0, 1])
+    # distinct keys whose noisy p-values all clip to 1e-300 tie as well:
+    # the smallest index wins, not the smallest key
+    saturated = [[0.0, 0.0, 0.0], [-800.0, -900.0, -1000.0], [-800.0, -900.0, -1000.0]]
+    for kind in ("gaussian", "laplace"):
+        assert np.array_equal(_peel_keys(saturated, kind).peeled_indices, [0, 1])
+    # the same keys peel by size once they no longer saturate
+    assert np.array_equal(_peel_keys([[0, 0, 0], [-6, -7, -8], [-6, -7, -8]]).peeled_indices,
+                          [2, 1])
 
 
 def test_reversed_peel_full_depth():
-    g = np.random.default_rng(4)
-    rows = g.uniform(size=(6, 5))
-    out = reversed_peel(_matrix(rows))
+    p = np.random.default_rng(4).uniform(size=5)
+    s = RandomStream(4)
+    out = reversed_peel(p, 5, NoiseScales(0.3, 0.6), s, "laplace")
     assert sorted(out.peeled_indices.tolist()) == [0, 1, 2, 3, 4]
-    # inference values come from row 0 at the peeled columns
-    assert np.array_equal(out.inference_pvals, rows[0, out.peeled_indices])
+    # inference values come from the row-0 noise at the peeled indices
+    row0 = noisy_row(p, 0.3, s.child(0), "laplace")
+    assert np.array_equal(out.inference_pvals, row0[out.peeled_indices])
 
 
 def test_reversed_peel_rejects_overdeep_matrix():
-    rows = np.random.default_rng(0).uniform(size=(5, 3))
+    p = np.random.default_rng(0).uniform(size=3)
     with pytest.raises(ValueError):
-        reversed_peel(_matrix(rows))
+        reversed_peel(p, 4, NoiseScales(0.1, 0.2), RandomStream(0))
+
+
+def test_reversed_peel_validation():
+    scales = NoiseScales(0.1, 0.2)
+    with pytest.raises(ValueError):
+        reversed_peel(np.empty(0), 3, scales, RandomStream(0))
+    with pytest.raises(ValueError):
+        reversed_peel(np.array([0.5]), 0, scales, RandomStream(0))
+    with pytest.raises(ValueError):
+        reversed_peel(np.array([0.5]), 1, scales, RandomStream(0), "other")
+
+
+# p-values with exact 0 and 1, values past the clamp, and repeats
+_PVALUE = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 1e-15, 0.5, 1.0 - 1e-16]),
+                    st.floats(0.0, 1.0))
+_SCALE = st.sampled_from([0.0, 0.05, 1.0, 4.0, 40.0])
+
+
+@st.composite
+def _peel_cases(draw):
+    pvals = np.array(draw(st.lists(_PVALUE, min_size=1, max_size=30)))
+    m_peel = draw(st.one_of(st.just(pvals.size), st.integers(1, pvals.size)))
+    scales = NoiseScales(draw(_SCALE), draw(_SCALE))
+    return pvals, m_peel, scales, RandomStream(draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
+@settings(max_examples=300, deadline=None)
+@given(case=_peel_cases())
+def test_reversed_peel_equals_dense_oracle(noise_kind, case):
+    pvals, m_peel, scales, stream = case
+    out = reversed_peel(pvals, m_peel, scales, stream, noise_kind)
+    order, inference = dense_reversed_peel(
+        generate_noisy_matrix(pvals, m_peel, scales, stream, noise_kind))
+    assert np.array_equal(out.peeled_indices, order)
+    assert np.array_equal(out.inference_pvals, inference)
+
+
+@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(2, 12), scale=st.sampled_from([0.01, 0.05, 0.2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_reversed_peel_ties_near_one_equal_dense_oracle(noise_kind, m, scale, seed):
+    # every p-value at 1 with little noise: the keys sit where the CDF is
+    # within a few ulps of 1, so distinct keys often share a noisy p-value
+    # and the tie rule decides the round
+    pvals, scales, stream = np.ones(m), NoiseScales(scale, scale), RandomStream(seed)
+    out = reversed_peel(pvals, m, scales, stream, noise_kind)
+    order, inference = dense_reversed_peel(
+        generate_noisy_matrix(pvals, m, scales, stream, noise_kind))
+    assert np.array_equal(out.peeled_indices, order)
+    assert np.array_equal(out.inference_pvals, inference)
 
 
 def test_forward_peel_zero_noise_is_sorted_order():

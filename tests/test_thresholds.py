@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,19 @@ def test_sup_test_rejects_bad_m_peel():
         sup_test(p, TestConfig(family="bh", m_peel=11, sigma_override=(0.0, 0.0)))
     with pytest.raises(ValueError):
         sup_test(p, TestConfig(family="bh", m_peel=0, sigma_override=(0.0, 0.0)))
+
+
+def test_sup_test_memory_is_linear_in_m():
+    # a dense (1 + m') x m matrix of float64 would take 8 (1 + m') m bytes
+    # (320 MB here); the streamed peel holds a few length-m rows at a time
+    m, m_peel = 20_000, 2000
+    p = np.random.default_rng(6).uniform(size=m)
+    cfg = TestConfig(family="bh", alpha=0.1, budget=PrivacyBudget.gdp(1.0), m_peel=m_peel)
+    tracemalloc.start()
+    try:
+        res = sup_test(p, cfg, RandomStream(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.peeled.peeled_indices.size == m_peel
+    assert peak < 16 * 8 * m

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from dense_oracle import generate_noisy_matrix
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
+from suptest.peeling import reversed_peel
 from suptest.privacy import NoiseScales
 from suptest.transform import (
     P_CLAMP,
     clamp_pvalues,
-    generate_noisy_matrix,
     noisy_p_gaussian,
     noisy_p_laplace,
     noisy_row,
@@ -98,31 +99,26 @@ def test_noisy_row_gaussian_matches_formula():
 
 
 def test_generate_noisy_matrix_layout():
+    # the dense test oracle: row k is noisy_row on substream k, bit for bit
     p = np.random.default_rng(1).uniform(size=40)
     scales = NoiseScales(0.1, 0.2)
     s = RandomStream(2)
-    mat = generate_noisy_matrix(p, 7, scales, s)
-    assert mat.rows.shape == (8, 40)
-    assert mat.m == 40 and mat.m_peel == 7
-    # row k regenerates bit-identically from its own substream
-    assert np.array_equal(mat.rows[0], noisy_row(p, 0.1, s.child(0), "gaussian"))
-    assert np.array_equal(mat.rows[3], noisy_row(p, 0.2, s.child(3), "gaussian"))
-    # rows are distinct draws
-    assert not np.array_equal(mat.rows[1], mat.rows[2])
-
-
-def test_generate_noisy_matrix_validation():
-    scales = NoiseScales(0.1, 0.2)
-    with pytest.raises(ValueError):
-        generate_noisy_matrix(np.empty(0), 3, scales, RandomStream(0))
-    with pytest.raises(ValueError):
-        generate_noisy_matrix(np.array([0.5]), 0, scales, RandomStream(0))
-    with pytest.raises(ValueError):
-        generate_noisy_matrix(np.array([0.5]), 1, scales, RandomStream(0), "other")
+    for kind in ("gaussian", "laplace"):
+        rows = generate_noisy_matrix(p, 7, scales, s, kind)
+        assert rows.shape == (8, 40)
+        assert np.array_equal(rows[0], noisy_row(p, 0.1, s.child(0), kind))
+        assert np.array_equal(rows[3], noisy_row(p, 0.2, s.child(3), kind))
+        # rows are distinct draws
+        assert not np.array_equal(rows[1], rows[2])
 
 
 def test_matrix_entries_strictly_inside_unit_interval():
+    # every row of the peeling matrix is a noisy_row; released values too
     p = np.array([0.0, 1.0, 1e-300, 0.5])
-    mat = generate_noisy_matrix(p, 3, NoiseScales(5.0, 10.0), RandomStream(8))
-    assert np.all(mat.rows > 0.0)
-    assert np.all(mat.rows < 1.0)
+    s = RandomStream(8)
+    for kind in ("gaussian", "laplace"):
+        for k, scale in enumerate((5.0, 10.0, 10.0, 10.0)):
+            row = noisy_row(p, scale, s.child(k), kind)
+            assert np.all(row > 0.0) and np.all(row < 1.0)
+        out = reversed_peel(p, 4, NoiseScales(5.0, 10.0), s, kind)
+        assert np.all(out.inference_pvals > 0.0) and np.all(out.inference_pvals < 1.0)
