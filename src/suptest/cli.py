@@ -158,12 +158,19 @@ def cmd_run(args) -> int:
     out = "\n".join(lines) + "\n"
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _open_output(args.output) as fh:
             fh.write(out)
         print(summary)
     else:
         sys.stdout.write(out)
     return 0
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}")
 
 
 def _budget_parts(budget) -> list:
@@ -266,12 +273,12 @@ def cmd_simulate(args) -> int:
         except ValueError as e:
             raise UsageError(f"invalid scenario: {e}")
 
-    csv = run_replications(scenario).to_csv()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    if not args.output:
+        sys.stdout.write(run_replications(scenario).to_csv())
+        return 0
+    # opened before the study runs, so a bad path fails at once
+    with _open_output(args.output) as fh:
+        fh.write(run_replications(scenario).to_csv())
     return 0
 
 

@@ -165,11 +165,14 @@ def forward_peel_baseline(
     remaining = np.arange(m)
     picked = np.empty(m_peel, dtype=np.intp)
     values = np.empty(m_peel)
-    for k in range(m_peel):
-        noisy = work + gen.laplace(0.0, laplace_scale, work.size)
-        pos = int(np.argmin(noisy))
-        picked[k] = remaining[pos]
-        values[k] = noisy[pos]
-        remaining = np.delete(remaining, pos)
-        work = np.delete(work, pos)
+    noisy = np.empty(m)
+    # the survivors stay in index order in work[:n] and remaining[:n]; a
+    # peeled entry is dropped by shifting the tail after it down by one
+    for n in range(m, m - m_peel, -1):
+        row = np.add(work[:n], gen.laplace(0.0, laplace_scale, n), out=noisy[:n])
+        pos = int(np.argmin(row))
+        picked[m - n] = remaining[pos]
+        values[m - n] = row[pos]
+        work[pos:n - 1] = work[pos + 1:n]
+        remaining[pos:n - 1] = remaining[pos + 1:n]
     return picked, values

@@ -10,6 +10,8 @@ errors and exported as CSV rows `method,metric,mean,stderr,reps`.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -253,23 +255,72 @@ class MetricsTable:
         return "\n".join(lines) + "\n"
 
 
+def _one_rep(scenario: SimScenario, rep: int) -> list:
+    """The (label, metrics) rows of replicate rep, one per method.
+
+    Replicate rep draws only from RandomStream(scenario.seed, rep): the
+    data from child 0 and method i from child 1 + i."""
+    root = RandomStream(scenario.seed, rep)
+    data = gen_pvalues(scenario, root.child(0))
+    rows = []
+    for mi, spec in enumerate(scenario.methods):
+        rejected = run_method(spec, data.pvals, scenario.alpha, root.child(1 + mi))
+        tau = float(spec.options.get("tau", 0.5))
+        rows.append((spec.label, _metrics(rejected, data, tau)))
+    return rows
+
+
+def _worker_count(reps: int) -> int:
+    """Worker processes for reps replicates: one per usable core, at most
+    reps. 1 means run in this process, as also happens without the fork
+    start method, inside a daemonic worker, which may not have children,
+    and beside other Python threads, which a forked child could find
+    holding a lock."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    n = min(cores, reps)
+    if n > 1:
+        import multiprocessing
+
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon
+                or threading.active_count() > 1):
+            return 1
+    return n
+
+
 def run_replications(scenario: SimScenario) -> MetricsTable:
     """Run every configured method over scenario.reps fresh replicates.
 
     Replicate r uses RandomStream(seed, r); the data and each method draw
-    from disjoint sub-streams, so the aggregate does not depend on
-    execution order.
+    from disjoint sub-streams, so no replicate depends on another. The
+    replicates run in forked worker processes, one per usable core (see
+    _worker_count), and their rows are merged in replicate order, so the
+    table, and its CSV, are the same bytes for any number of workers. An
+    exception raised in a replicate reaches the caller with its type and
+    message.
     """
     reps = scenario.reps
+    workers = _worker_count(reps)
+    args = ([scenario] * reps, range(reps))
+    if workers == 1:
+        per_rep = list(map(_one_rep, *args))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # forked workers inherit the imported modules instead of importing
+        # suptest again, which costs about as much as a desk replicate
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+            per_rep = list(pool.map(_one_rep, *args))
     acc = {s.label: {k: np.empty(reps) for k in METRIC_NAMES} for s in scenario.methods}
-    for rep in range(reps):
-        root = RandomStream(scenario.seed, rep)
-        data = gen_pvalues(scenario, root.child(0))
-        for mi, spec in enumerate(scenario.methods):
-            rejected = run_method(spec, data.pvals, scenario.alpha, root.child(1 + mi))
-            tau = float(spec.options.get("tau", 0.5))
-            for k, val in _metrics(rejected, data, tau).items():
-                acc[spec.label][k][rep] = val
+    for rep, rows in enumerate(per_rep):
+        for label, metrics in rows:
+            for k, val in metrics.items():
+                acc[label][k][rep] = val
     table = {}
     for label, per_metric in acc.items():
         for k, vals in per_metric.items():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from suptest.baselines import classic_procedure
+from suptest import cli, simulate
 from suptest.cli import main
 from suptest.privacy import PrivacyBudget, calibrate_peeling_scales, experiment_mu
 from suptest.simulate import METRIC_NAMES
@@ -130,6 +131,16 @@ def test_run_output_file(pfile, tmp_path, capsys):
     assert dest.read_text() == content
 
 
+def test_run_unwritable_output_exits_2(pfile, tmp_path, capsys):
+    path, _ = pfile
+    dest = tmp_path / "missing" / "out.csv"
+    assert main(["run", "--input", str(path), "--method", "bh",
+                 "--output", str(dest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {dest}: No such file or directory\n"
+    assert captured.out == ""
+
+
 def test_run_rejects_bad_input(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("\n\n")
@@ -218,6 +229,32 @@ def test_simulate_preset_with_overrides(tmp_path):
     lines = dest.read_text().strip().split("\n")
     assert lines[0] == "method,metric,mean,stderr,reps"
     assert all(row.endswith(",2") for row in lines[1:])
+
+
+def test_simulate_unwritable_output_exits_2_before_any_replicate(
+        tmp_path, capsys, monkeypatch):
+    def no_study(scenario):
+        raise AssertionError("the study ran before the output path was checked")
+    monkeypatch.setattr(cli, "run_replications", no_study)
+    dest = tmp_path / "missing" / "x.csv"
+    assert main(["simulate", "--preset", "desk", "--m", "200", "--m1", "4",
+                 "--reps", "1", "--output", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {dest}: No such file or directory\n"
+
+
+def test_simulate_replicate_error_exits_2_for_any_worker_count(
+        tmp_path, capsys, monkeypatch):
+    # m_peel > m passes scenario validation and fails inside each replicate
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("m=100\nm1=5\nreps=3\nmethods=bh,sup-bh\nsup-bh.m_peel=500\n")
+    outcomes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(simulate, "_worker_count", lambda reps: workers)
+        code = main(["simulate", "--scenario", str(scen)])
+        outcomes.append((code,) + tuple(capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (2, "", "error: m_peel cannot exceed the number of hypotheses\n")
 
 
 def test_privacy_conversions(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_reversed_peel, generate_noisy_matrix
+from forward_oracle import forward_peel_delete
 from suptest.numerics import RandomStream, std_normal_cdf
 from suptest.peeling import PeelOutcome, forward_peel_baseline, reversed_peel
 from suptest.privacy import NoiseScales
@@ -155,6 +156,34 @@ def test_forward_peel_picks_are_distinct():
     logs = np.log(np.random.default_rng(7).uniform(size=30))
     picked, _ = forward_peel_baseline(logs, 30, 2.0, RandomStream(1))
     assert len(set(picked.tolist())) == 30
+
+
+@st.composite
+def _forward_cases(draw):
+    """Log p-values with repeats (ties), a depth that is often 1 or m, a
+    scale that is often 0, and a stream seed."""
+    m = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.floats(-40.0, 0.0), min_size=1, max_size=6))
+    logs = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    m_peel = draw(st.one_of(st.just(1), st.just(m), st.integers(1, m)))
+    scale = draw(st.sampled_from([0.0, 1e-3, 0.5, 4.0]))
+    return np.array(logs), m_peel, scale, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forward_cases())
+def test_forward_peel_equals_delete_reference(case):
+    logs, m_peel, scale, seed = case
+    got = forward_peel_baseline(logs, m_peel, scale, RandomStream(seed))
+    want = forward_peel_delete(logs, m_peel, scale, RandomStream(seed))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_forward_peel_zero_noise_ties_go_to_smallest_index():
+    logs = np.log(np.array([0.3, 0.1, 0.3, 0.1, 0.2]))
+    picked, _ = forward_peel_baseline(logs, 5, 0.0, RandomStream(0))
+    assert np.array_equal(picked, [1, 3, 4, 0, 2])
 
 
 def test_forward_peel_validation():

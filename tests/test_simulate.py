@@ -1,9 +1,20 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import suptest
+from suptest import simulate
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.privacy import experiment_mu
 from suptest.simulate import (
+    METHOD_NAMES,
     METRIC_NAMES,
     LabeledPValues,
     MethodSpec,
@@ -124,6 +135,71 @@ def test_run_replications_matches_manual_aggregation():
             fdr[spec.label].append(_metrics(rej, data, 0.5)["fdr"])
     for label in table.labels:
         assert table.mean(label, "fdr") == pytest.approx(np.mean(fdr[label]))
+
+
+def test_run_replications_same_bytes_for_any_worker_count(monkeypatch):
+    scn = _scn(m=400, m1=20, reps=5, seed=9, dependence="block", block_size=100,
+               methods=tuple(MethodSpec(name) for name in METHOD_NAMES))
+    csv = []
+    for workers in (1, 2):
+        monkeypatch.setattr(simulate, "_worker_count", lambda reps: workers)
+        csv.append(run_replications(scn).to_csv())
+    assert csv[0] == csv[1]
+
+
+def test_worker_count_follows_usable_cores(monkeypatch):
+    # no process is started: the helper only reads the affinity mask and
+    # the multiprocessing context
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert simulate._worker_count(200) == 4
+    assert simulate._worker_count(3) == 3
+    assert simulate._worker_count(1) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    assert simulate._worker_count(200) == 1
+
+
+def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert simulate._worker_count(200) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._worker_count(200) == 1
+
+
+def test_worker_count_serial_without_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert simulate._worker_count(200) == 1
+
+
+def test_worker_count_serial_inside_daemonic_worker(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "current_process",
+                        lambda: SimpleNamespace(daemon=True))
+    assert simulate._worker_count(200) == 1
+
+
+def test_worker_count_serial_beside_other_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert simulate._worker_count(200) == 2
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10,))
+    waiter.start()
+    try:
+        assert simulate._worker_count(200) == 1
+    finally:
+        release.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+
+
+def test_import_does_not_load_multiprocessing():
+    src = str(Path(suptest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import suptest, sys; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_run_replications_no_signals():
