@@ -19,14 +19,15 @@ import numpy as np
 
 from .numerics import RandomStream, std_normal_pdf, std_normal_quantile
 from .peeling import reversed_peel
-from .privacy import NoiseScales, calibrate_peeling_scales, split_budget
+from .privacy import PrivacyBudget, split_budget
 from .thresholds import (
     AdaptiveInfo,
-    RejectionResult,
+    Release,
     TestConfig,
     ThresholdFamily,
     budget_as_mu,
     reject_peeled,
+    resolve_scales,
 )
 
 __all__ = [
@@ -178,7 +179,7 @@ def adaptive_sup_test(
     config: TestConfig,
     acfg: AdaptiveConfig,
     stream: Optional[RandomStream] = None,
-) -> RejectionResult:
+) -> Release:
     """Jointly adaptive private test: release pi0_hat on a rho fraction of
     the budget, peel m* = max{ceil((1+c) m (1 - pi0_hat)), m_tilde} values
     with the rest, and test against thresholds scaled by 1/pi0_hat.
@@ -207,15 +208,10 @@ def adaptive_sup_test(
 
     m_star = peel_count_m_dagger(p0_hat, 0.0, p.size, acfg, config.alpha)
 
-    if config.sigma_override is not None:
-        s0, s1 = config.sigma_override
-        scales = NoiseScales(float(s0), float(s1))
-    else:
-        scales = calibrate_peeling_scales(mu_peel, config.gs, m_star)
+    scales = resolve_scales(replace(config, budget=PrivacyBudget.gdp(mu_peel)), m_star)
     peel = reversed_peel(p, m_star, scales, stream.child(1), "gaussian")
     family = ThresholdFamily(config.family, config.alpha, p.size,
                              pi0_inv_scale=1.0 / p0_hat)
-    result = reject_peeled(peel, family, config.resolved_zeta())
     info = AdaptiveInfo(pi0_hat=p0_hat, m_star=m_star,
                         pi0_inv_bar=inv_bar, sigma_tau=sigma_tau)
-    return replace(result, adaptive_info=info)
+    return reject_peeled(peel, family, config.resolved_zeta(), config.budget, info)

@@ -186,14 +186,10 @@ def theorem8_check(params: DworkParams, alpha: float, m: int, variant: str) -> b
     corresponding log-scale comparator."""
     v = variant.lower()
     if v == "bh":
-        lhs = params.eta * math.sqrt(
-            10.0 * params.m_peel * math.log(1.0 / params.delta)
-        ) / params.eps
+        lhs = dp_bh_scale(params)
         rhs = 1.0 - 1.0 / math.log(6.0 * params.m_peel / alpha)
     elif v == "bonf":
-        lhs = 0.5 * params.eta * math.sqrt(
-            10.0 * m * math.log(1.0 / params.delta)
-        ) / params.eps
+        lhs = dp_bonf_scale(params, m)
         rhs = 1.0 - 1.0 / math.log(5.0 * m / alpha)
     else:
         raise ValueError(f"unknown variant {variant!r}")

@@ -18,8 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptive import adaptive_sup_test
-from .baselines import classic_procedure, dp_bh, dp_bonf
 from .numerics import RandomStream
 from .privacy import (
     calibrate_peeling_scales,
@@ -27,17 +25,13 @@ from .privacy import (
     gdp_to_approx_dp_delta,
 )
 from .simulate import (
-    METHOD_NAMES,
     MethodSpec,
     SimScenario,
-    _adaptive_config,
-    _dwork_params,
-    _sup_config,
     desk_scenario,
     full_scenario,
+    run_method,
     run_replications,
 )
-from .thresholds import sup_test
 
 __all__ = ["main", "UsageError"]
 
@@ -95,63 +89,23 @@ def _run_options(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    if args.method not in METHOD_NAMES:
-        raise UsageError(f"unknown method {args.method!r}")
-    try:
-        text = open(args.input, encoding="utf-8").read()
-    except OSError as e:
-        raise UsageError(f"cannot read {args.input}: {e.strerror}")
-    ids, pvals = _parse_pvalue_csv(text)
+    spec = MethodSpec(args.method, options=_run_options(args))
+    ids, pvals = _parse_pvalue_csv(_read_text(args.input))
+    release = run_method(spec, pvals, args.alpha, RandomStream(args.seed))
 
-    name, alpha, opts = args.method, args.alpha, _run_options(args)
-    noisy = {}
-    pi0_hat_val = None
-    budget_echo = []
-    if name in ("bh", "by", "bonf", "holm"):
-        rejected = classic_procedure(pvals, name, alpha)
-        j_star, m_used = rejected.size, pvals.size
-        noisy = {i: float(pvals[i]) for i in range(pvals.size)}
-    elif name.startswith(("sup-", "asup-")):
-        if name.startswith("sup-"):
-            cfg = _sup_config(name[4:], alpha, opts)
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-            result = sup_test(pvals, cfg)
-            m_used = cfg.m_peel
-        else:
-            cfg = _sup_config(name[5:], alpha, opts)
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-            result = adaptive_sup_test(pvals, cfg, _adaptive_config(opts))
-            m_used = result.adaptive_info.m_star
-            pi0_hat_val = result.adaptive_info.pi0_hat
-        rejected = result.rejected_indices
-        j_star = result.j_star
-        peel = result.peeled
-        noisy = {int(i): float(v)
-                 for i, v in zip(peel.peeled_indices, peel.inference_pvals)}
-        budget_echo = _budget_parts(cfg.budget)
-    else:
-        params = _dwork_params(alpha, pvals.size, opts)
-        stream = RandomStream(args.seed)
-        if name == "dp-bh":
-            rejected = dp_bh(pvals, params, alpha, stream)
-            m_used = params.m_peel
-        else:
-            rejected = dp_bonf(pvals, params, alpha, stream)
-            m_used = pvals.size
-        j_star = rejected.size
-        budget_echo = [f"eps={params.eps!r}", f"delta={params.delta!r}"]
-
-    rejected_set = set(int(i) for i in rejected)
+    peel = release.peeled
+    noisy = dict(zip(peel.peeled_indices.tolist(), peel.inference_pvals.tolist()))
+    rejected_set = set(release.rejected_indices.tolist())
     lines = ["id,p,noisy_p,rejected"]
     for i, (rid, p) in enumerate(zip(ids, pvals)):
         np_field = repr(noisy[i]) if i in noisy else ""
         lines.append(f"{rid},{float(p)!r},{np_field},{1 if i in rejected_set else 0}")
-    parts = [f"method={name}", f"alpha={alpha!r}", f"j_star={j_star}",
-             f"m_peel={m_used}"]
-    if pi0_hat_val is not None:
-        parts.append(f"pi0_hat={pi0_hat_val!r}")
-    parts.extend(budget_echo)
-    if name not in ("bh", "by", "bonf", "holm"):
+    parts = [f"method={spec.name}", f"alpha={args.alpha!r}",
+             f"j_star={release.j_star}", f"m_peel={release.m_peel}"]
+    if release.adaptive_info is not None:
+        parts.append(f"pi0_hat={release.adaptive_info.pi0_hat!r}")
+    if release.budget is not None:
+        parts.extend(_budget_parts(release.budget))
         parts.append(f"seed={args.seed}")
     summary = "# " + " ".join(parts)
     lines.append(summary)
@@ -164,6 +118,14 @@ def cmd_run(args) -> int:
     else:
         sys.stdout.write(out)
     return 0
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror}")
 
 
 def _open_output(path: str):
@@ -258,11 +220,7 @@ def cmd_simulate(args) -> int:
     if bool(args.scenario) == bool(args.preset):
         raise UsageError("provide exactly one of --scenario or --preset")
     if args.scenario:
-        try:
-            text = open(args.scenario, encoding="utf-8").read()
-        except OSError as e:
-            raise UsageError(f"cannot read {args.scenario}: {e.strerror}")
-        scenario = _parse_scenario_file(text)
+        scenario = _parse_scenario_file(_read_text(args.scenario))
     else:
         scenario = desk_scenario() if args.preset == "desk" else full_scenario()
     overrides = {k: getattr(args, k) for k in ("m", "m1", "reps", "seed")

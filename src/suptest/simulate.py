@@ -21,8 +21,9 @@ from scipy import optimize
 from .adaptive import AdaptiveConfig, adaptive_sup_test
 from .baselines import DworkParams, classic_procedure, dp_bh, dp_bonf
 from .numerics import RandomStream, std_normal_cdf, std_normal_quantile
+from .peeling import PeelOutcome
 from .privacy import PrivacyBudget, experiment_mu
-from .thresholds import TestConfig, sup_test, truncated_sup_test
+from .thresholds import Release, TestConfig, sup_test, truncated_sup_test
 
 __all__ = [
     "METHOD_NAMES",
@@ -197,22 +198,27 @@ def _dwork_params(alpha: float, m: int, options: dict) -> DworkParams:
     )
 
 
-def run_method(spec: MethodSpec, pvals, alpha: float, stream: RandomStream) -> np.ndarray:
-    """Run one registered method, returning sorted rejected indices."""
+def run_method(spec: MethodSpec, pvals, alpha: float, stream: RandomStream) -> Release:
+    """Run one registered method; the only place a method name is mapped
+    to a procedure, for the simulator and `suptest run` alike."""
     name, opts = spec.name, spec.options
     p = np.asarray(pvals, dtype=float)
     if name in ("bh", "by", "bonf", "holm"):
-        return classic_procedure(p, name, alpha)
+        rejected = classic_procedure(p, name, alpha)
+        return Release(PeelOutcome(np.arange(p.size), p), rejected.size, rejected, p.size)
     if name.startswith("sup-"):
-        cfg = _sup_config(name[4:], alpha, opts)
-        return sup_test(p, cfg, stream).rejected_indices
+        return sup_test(p, _sup_config(name[4:], alpha, opts), stream)
     if name.startswith("asup-"):
         cfg = _sup_config(name[5:], alpha, opts)
-        return adaptive_sup_test(p, cfg, _adaptive_config(opts), stream).rejected_indices
+        return adaptive_sup_test(p, cfg, _adaptive_config(opts), stream)
     params = _dwork_params(alpha, p.size, opts)
     if name == "dp-bh":
-        return dp_bh(p, params, alpha, stream)
-    return dp_bonf(p, params, alpha, stream)
+        rejected, m_peel = dp_bh(p, params, alpha, stream), params.m_peel
+    else:
+        rejected, m_peel = dp_bonf(p, params, alpha, stream), p.size
+    nothing = PeelOutcome(np.empty(0, dtype=np.intp), np.empty(0))
+    return Release(nothing, rejected.size, rejected, m_peel,
+                   PrivacyBudget.approx_dp(params.eps, params.delta))
 
 
 def _metrics(rejected: np.ndarray, data: LabeledPValues, tau: float) -> dict:
@@ -264,9 +270,9 @@ def _one_rep(scenario: SimScenario, rep: int) -> list:
     data = gen_pvalues(scenario, root.child(0))
     rows = []
     for mi, spec in enumerate(scenario.methods):
-        rejected = run_method(spec, data.pvals, scenario.alpha, root.child(1 + mi))
+        release = run_method(spec, data.pvals, scenario.alpha, root.child(1 + mi))
         tau = float(spec.options.get("tau", 0.5))
-        rows.append((spec.label, _metrics(rejected, data, tau)))
+        rows.append((spec.label, _metrics(release.rejected_indices, data, tau)))
     return rows
 
 

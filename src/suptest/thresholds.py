@@ -36,12 +36,10 @@ __all__ = [
     "ThresholdFamily",
     "TestConfig",
     "AdaptiveInfo",
-    "RejectionResult",
-    "threshold_value",
+    "Release",
     "threshold_values",
     "select_step",
     "reject_peeled",
-    "reject_truncated",
     "sup_test",
     "truncated_sup_test",
     "resolve_scales",
@@ -106,11 +104,22 @@ class AdaptiveInfo:
 
 
 @dataclass(frozen=True)
-class RejectionResult:
+class Release:
+    """What one run of a method releases, whichever method it is.
+
+    peeled holds the released values: the peel outcome of the private
+    tests, all m raw p-values for the classic procedures, and nothing for
+    the log-scale comparators, which release decisions only. m_peel is the
+    peeling number the method used (m* for the adaptive tests, m for the
+    classic procedures and dp-bonf); budget is None for the classic
+    procedures and for truncated_sup_test.
+    """
+
     peeled: peeling.PeelOutcome
     j_star: int
     rejected_indices: np.ndarray
-    thresholds_used: np.ndarray
+    m_peel: int
+    budget: Optional[PrivacyBudget] = None
     adaptive_info: Optional[AdaptiveInfo] = None
 
 
@@ -133,11 +142,6 @@ def threshold_values(family: ThresholdFamily, j) -> np.ndarray:
     else:  # holm
         lam = a / (m + 1 - j)
     return lam * family.pi0_inv_scale
-
-
-def threshold_value(family: ThresholdFamily, j: int) -> float:
-    """Threshold lambda_j for a single index j in [1, m]."""
-    return float(threshold_values(family, np.asarray([j]))[0])
 
 
 def select_step(sorted_pvals, family: ThresholdFamily, zeta: int) -> int:
@@ -164,25 +168,14 @@ def select_step(sorted_pvals, family: ThresholdFamily, zeta: int) -> int:
     return int(violations[0]) if violations.size else int(s.size)
 
 
-def reject_peeled(peel: peeling.PeelOutcome, family: ThresholdFamily,
-                  zeta: int) -> RejectionResult:
+def reject_peeled(peel: peeling.PeelOutcome, family: ThresholdFamily, zeta: int,
+                  budget: Optional[PrivacyBudget] = None,
+                  adaptive_info: Optional[AdaptiveInfo] = None) -> Release:
     """Sort the peeled inference values, select, reject."""
     order = np.argsort(peel.inference_pvals, kind="stable")
     j_star = select_step(peel.inference_pvals[order], family, zeta)
     rejected = np.sort(peel.peeled_indices[order[:j_star]])
-    lam = threshold_values(family, np.arange(1, peel.peeled_indices.size + 1))
-    return RejectionResult(peel, j_star, rejected, lam)
-
-
-def reject_truncated(row0, family: ThresholdFamily, zeta: int) -> RejectionResult:
-    """Selection over all m inference values, skipping the peeling step."""
-    row0 = np.asarray(row0, dtype=float)
-    order = np.argsort(row0, kind="stable")
-    j_star = select_step(row0[order], family, zeta)
-    rejected = np.sort(order[:j_star])
-    lam = threshold_values(family, np.arange(1, row0.size + 1))
-    peel = peeling.PeelOutcome(np.arange(row0.size), row0)
-    return RejectionResult(peel, j_star, rejected, lam)
+    return Release(peel, j_star, rejected, peel.peeled_indices.size, budget, adaptive_info)
 
 
 def budget_as_mu(budget: PrivacyBudget) -> float:
@@ -214,7 +207,7 @@ def _check_m_peel(m_peel: int, m: int):
         raise ValueError("m_peel cannot exceed the number of hypotheses")
 
 
-def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -> RejectionResult:
+def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -> Release:
     """Full private test: calibrate, peel, select.
 
     Args:
@@ -223,8 +216,8 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
         stream: randomness source; defaults to RandomStream(config.seed).
 
     Returns:
-        RejectionResult with the peel outcome, j_star, and the rejected
-        hypothesis indices (0-based positions into pvals).
+        Release with the peel outcome, j_star, the rejected hypothesis
+        indices (0-based positions into pvals) and config.budget.
     """
     p = np.asarray(pvals, dtype=float)
     _check_m_peel(config.m_peel, p.size)
@@ -233,18 +226,19 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
         stream = RandomStream(config.seed)
     peel = peeling.reversed_peel(p, config.m_peel, scales, stream, config.noise_kind)
     family = ThresholdFamily(config.family, config.alpha, p.size)
-    return reject_peeled(peel, family, config.resolved_zeta())
+    return reject_peeled(peel, family, config.resolved_zeta(), config.budget)
 
 
 def truncated_sup_test(
     pvals, config: TestConfig, stream: Optional[RandomStream] = None
-) -> RejectionResult:
+) -> Release:
     """No-peeling variant: only the inference row is generated and all m
     noisy values enter selection. Analysis tool only; releasing all m
     values carries no privacy guarantee under the peeling calibration.
 
     Row 0 is drawn from stream.child(0) exactly as sup_test does, so a
-    shared stream yields a shared inference row.
+    shared stream yields a shared inference row. The release carries no
+    budget, since the calibration does not cover it.
     """
     p = np.asarray(pvals, dtype=float)
     _check_m_peel(config.m_peel, p.size)
@@ -253,4 +247,5 @@ def truncated_sup_test(
         stream = RandomStream(config.seed)
     row0 = noisy_row(p, scales.sigma0, stream.child(0), config.noise_kind)
     family = ThresholdFamily(config.family, config.alpha, p.size)
-    return reject_truncated(row0, family, config.resolved_zeta())
+    peel = peeling.PeelOutcome(np.arange(p.size), row0)
+    return reject_peeled(peel, family, config.resolved_zeta())

@@ -27,8 +27,6 @@ __all__ = [
     "P_CLAMP",
     "NOISE_KINDS",
     "clamp_pvalues",
-    "noisy_p_gaussian",
-    "noisy_p_laplace",
     "draw_noise",
     "key_to_noisy_p",
     "noisy_row",
@@ -47,36 +45,6 @@ _ENTRY_HI = 1.0 - 1e-16
 def clamp_pvalues(pvals) -> np.ndarray:
     """Clamp p-values into [P_CLAMP, 1 - P_CLAMP] as a float array."""
     return np.clip(np.asarray(pvals, dtype=float), P_CLAMP, 1.0 - P_CLAMP)
-
-
-def noisy_p_gaussian(p, sigma, z):
-    """Noisy p-value under Gaussian noise on the quantile scale.
-
-    Computes Phi((Phi^-1(p) + z) / sqrt(1 + sigma^2)); for a uniform p and
-    z ~ N(0, sigma^2) the output is exactly uniform. sigma = 0 with z = 0
-    passes the (clamped) p-value through unchanged.
-    """
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    pc = clamp_pvalues(p)
-    q = std_normal_quantile(pc)
-    out = std_normal_cdf((q + z) / math.sqrt(1.0 + sigma * sigma))
-    if sigma == 0.0:
-        # exact passthrough rather than Phi(Phi^-1(p)) roundoff
-        out = np.where(np.asarray(z, dtype=float) == 0.0, pc, out)[()]
-    return out
-
-
-def noisy_p_laplace(p, b, z):
-    """Noisy p-value under Laplace noise on the quantile scale.
-
-    Returns normal_laplace_cdf(Phi^-1(p) + z, b), the CDF of the perturbed
-    statistic under a uniform p-value.
-    """
-    if b <= 0.0:
-        raise ValueError("Laplace scale b must be positive")
-    pc = clamp_pvalues(p)
-    return normal_laplace_cdf(std_normal_quantile(pc) + z, b)
 
 
 def draw_noise(stream: RandomStream, scale: float, size: int, noise_kind: str) -> np.ndarray:

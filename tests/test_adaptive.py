@@ -170,7 +170,15 @@ def test_adaptive_sup_test_nearly_null_data():
     assert res.adaptive_info.sigma_tau == 0.0
     assert res.adaptive_info.pi0_hat == 1.0
     assert res.adaptive_info.m_star == acfg.m_tilde
-    assert res.thresholds_used[0] == pytest.approx(0.1 / 100_000, rel=1e-12)
+    # selection is the step-up over the released values against the
+    # unscaled BH thresholds alpha j / m
+    order = np.argsort(res.peeled.inference_pvals, kind="stable")
+    lam = 0.1 * np.arange(1, acfg.m_tilde + 1) / 100_000
+    hits = np.flatnonzero(res.peeled.inference_pvals[order] <= lam)
+    j_star = int(hits[-1] + 1) if hits.size else 0
+    assert res.j_star == j_star
+    assert np.array_equal(res.rejected_indices,
+                          np.sort(res.peeled.peeled_indices[order[:j_star]]))
 
 
 def test_adaptive_sup_test_deterministic():

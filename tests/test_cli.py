@@ -1,3 +1,7 @@
+import gc
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -286,3 +290,114 @@ def test_cli_argparse_errors_exit_2(capsys):
     assert main(["simulate", "--preset", "weekend"]) == 2
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+# SHA-256 of `suptest run` stdout on _frozen_input(), --m-peel 40 --seed 4,
+# per (method, noise), and of the `suptest simulate` CSV of _FROZEN_SCENARIO.
+# Recorded before the CLI was routed through simulate.run_method; the bytes
+# are promised per numpy/scipy version, so a new version may move them.
+_FROZEN_RUN = {
+    "bh/gaussian":
+        "4db53766090abdea3169d11f0b9225d27b6f268ec1af7ce383b1651e34518b57",
+    "bh/laplace":
+        "4db53766090abdea3169d11f0b9225d27b6f268ec1af7ce383b1651e34518b57",
+    "by/gaussian":
+        "5f36b102f7811426756846d5bb6624522185fa9ba182f9127aced6cf3d4e637a",
+    "by/laplace":
+        "5f36b102f7811426756846d5bb6624522185fa9ba182f9127aced6cf3d4e637a",
+    "bonf/gaussian":
+        "8deebe5076454d9b4ffc693d0bb1a11a5e645d7bea24dfc736aa0ae56a09cf51",
+    "bonf/laplace":
+        "8deebe5076454d9b4ffc693d0bb1a11a5e645d7bea24dfc736aa0ae56a09cf51",
+    "holm/gaussian":
+        "9145a34a97ca4dfae01e921f28e02b3fe4b019e8ba2c9da69961e2eb02034ba3",
+    "holm/laplace":
+        "9145a34a97ca4dfae01e921f28e02b3fe4b019e8ba2c9da69961e2eb02034ba3",
+    "sup-bh/gaussian":
+        "81bf92f2e1fc7f17938c09ef680bb43f3d3e0cd4761b46f47e4fa4b6a57bc301",
+    "sup-bh/laplace":
+        "3848990aa1e8d54c7238507a88464e6d223d5e3ceaebc06148b585615b66e055",
+    "sup-by/gaussian":
+        "32fa8beea0dd89eb3395970e67d89075b13aec5a0770da2d59d5286efb8e0f95",
+    "sup-by/laplace":
+        "9d4b3df47849b32cb3d37254bae4f39daccd6fce9727ef084aa891fd5c4942cd",
+    "sup-bonf/gaussian":
+        "52b914e3cc34cfbbd1b1c6d00ec0bbfd81ba6652766ec96b8bd88ae2866d4425",
+    "sup-bonf/laplace":
+        "9158caca2eea5b4c611ccb95d9a041e40369d95f0b6d00741a3202cc34a85a86",
+    "sup-holm/gaussian":
+        "4a12959eb8748a80bea543ba9ad8d86f0543358ae977222ce38e2b6aeb925a04",
+    "sup-holm/laplace":
+        "24428cb6aa3c25c449316c40c9e0d2c74c4c8263524e8a6cde973e0f4ba1dcdc",
+    "asup-bh/gaussian":
+        "ba5d9e4d5bf65327f732275a0030fcea22a13f9a04617e2a8868ecb8be63b954",
+    "asup-bh/laplace":
+        "2:0d5d7210fdd2149fc7e3f4d53bdba6bfcff63f2b8c2773638db018b9e9e64ed8",
+    "asup-bonf/gaussian":
+        "09f90c2ba4c414bd81087f15885a9b25d1b4837cd532bc60cc08f5064093af8f",
+    "asup-bonf/laplace":
+        "2:0d5d7210fdd2149fc7e3f4d53bdba6bfcff63f2b8c2773638db018b9e9e64ed8",
+    "dp-bh/gaussian":
+        "90caf615a69bff0efde8ba16af7e34e86afa436e18fca7f4b4baa6bd16eb86fd",
+    "dp-bh/laplace":
+        "90caf615a69bff0efde8ba16af7e34e86afa436e18fca7f4b4baa6bd16eb86fd",
+    "dp-bonf/gaussian":
+        "a1dc99377876b9b3205d2ecc2a6da1909b0688d57b5ca65bded3488461af1221",
+    "dp-bonf/laplace":
+        "a1dc99377876b9b3205d2ecc2a6da1909b0688d57b5ca65bded3488461af1221",
+}
+_FROZEN_SIMULATE = (
+    "0a9b9a504cf1309be49337ac9bf3cff75c4abdcc8f3802ccbd789ac441ea68bf")
+
+_FROZEN_SCENARIO = (
+    "m = 400\nm1 = 20\nreps = 3\nseed = 6\n"
+    "methods = " + ", ".join(simulate.METHOD_NAMES) + "\n"
+)
+
+
+def _frozen_input(path):
+    g = np.random.default_rng(2024)
+    p = g.uniform(size=300)
+    p[:30] = g.uniform(size=30) * 1e-5
+    _write_pvals(path, p)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_run_and_simulate_bytes_frozen(tmp_path, capsys):
+    src = tmp_path / "pvals.csv"
+    _frozen_input(src)
+    got = {}
+    for name in simulate.METHOD_NAMES:
+        for noise in ("gaussian", "laplace"):
+            code = main(["run", "--input", str(src), "--method", name,
+                         "--noise", noise, "--m-peel", "40", "--seed", "4"])
+            out, err = capsys.readouterr()
+            if name.startswith("asup-") and noise == "laplace":
+                assert out == ""
+                got[f"{name}/{noise}"] = f"{code}:{_sha(err)}"
+            else:
+                assert code == 0 and err == ""
+                got[f"{name}/{noise}"] = _sha(out)
+    scen = tmp_path / "all.cfg"
+    scen.write_text(_FROZEN_SCENARIO)
+    assert main(["simulate", "--scenario", str(scen)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert got == _FROZEN_RUN
+    assert _sha(out) == _FROZEN_SIMULATE
+
+
+def test_run_and_simulate_close_their_input_files(pfile, tmp_path, capsys):
+    path, _ = pfile
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("m=200\nm1=10\nreps=1\nmethods=bh\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--input", str(path), "--method", "bh"]) == 0
+        assert main(["simulate", "--scenario", str(scen)]) == 0
+        gc.collect()
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

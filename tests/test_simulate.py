@@ -12,7 +12,7 @@ import pytest
 import suptest
 from suptest import simulate
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
-from suptest.privacy import experiment_mu
+from suptest.privacy import PrivacyBudget, experiment_mu
 from suptest.simulate import (
     METHOD_NAMES,
     METRIC_NAMES,
@@ -131,7 +131,7 @@ def test_run_replications_matches_manual_aggregation():
         root = RandomStream(scn.seed, rep)
         data = gen_pvalues(scn, root.child(0))
         for mi, spec in enumerate(scn.methods):
-            rej = run_method(spec, data.pvals, scn.alpha, root.child(1 + mi))
+            rej = run_method(spec, data.pvals, scn.alpha, root.child(1 + mi)).rejected_indices
             fdr[spec.label].append(_metrics(rej, data, 0.5)["fdr"])
     for label in table.labels:
         assert table.mean(label, "fdr") == pytest.approx(np.mean(fdr[label]))
@@ -244,8 +244,30 @@ def test_run_method_dispatch_covers_registry():
         MethodSpec("sup-bh", options={"mu": 0.5, "m_peel": 20}),
     ]
     for spec in specs:
-        rej = run_method(spec, p, 0.1, RandomStream(5))
+        release = run_method(spec, p, 0.1, RandomStream(5))
+        rej = release.rejected_indices
         assert np.all(np.diff(rej) > 0) or rej.size <= 1
+        assert release.j_star == rej.size
+        # one result type: the released values, m', and the budget spent
+        released = release.peeled.peeled_indices
+        if spec.name == "holm":
+            assert np.array_equal(released, np.arange(p.size))
+            assert np.array_equal(release.peeled.inference_pvals, p)
+            assert release.m_peel == p.size and release.budget is None
+        elif spec.name.startswith("dp-"):
+            assert released.size == 0 and release.peeled.inference_pvals.size == 0
+            assert release.m_peel == (20 if spec.name == "dp-bh" else p.size)
+            assert release.budget == PrivacyBudget.approx_dp(0.5, 1e-3)
+        else:
+            assert np.isin(rej, released).all()
+            assert release.m_peel == released.size
+            if spec.name == "asup-bh":
+                assert release.m_peel == release.adaptive_info.m_star
+            else:
+                assert release.m_peel == 20
+            want = (PrivacyBudget.gdp(0.5) if "mu" in spec.options
+                    else PrivacyBudget.approx_dp(0.5, 1e-3))
+            assert release.budget == want
 
 
 def test_noise_inflation():

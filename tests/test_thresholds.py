@@ -12,7 +12,6 @@ from suptest.thresholds import (
     resolve_scales,
     select_step,
     sup_test,
-    threshold_value,
     threshold_values,
     truncated_sup_test,
 )
@@ -22,25 +21,25 @@ def test_threshold_values_bh():
     fam = ThresholdFamily("bh", 0.05, 10)
     lam = threshold_values(fam, np.arange(1, 11))
     assert np.allclose(lam, 0.05 * np.arange(1, 11) / 10)
-    assert threshold_value(fam, 10) == pytest.approx(0.05)
+    assert threshold_values(fam, [10])[0] == pytest.approx(0.05)
 
 
 def test_threshold_values_by_harmonic():
     fam = ThresholdFamily("by", 0.05, 4)
     h4 = 1 + 0.5 + 1 / 3 + 0.25
-    assert threshold_value(fam, 2) == pytest.approx(0.05 * 2 / (4 * h4))
+    assert threshold_values(fam, [2])[0] == pytest.approx(0.05 * 2 / (4 * h4))
     # worked example: m = 3, alpha = 0.12, j = 2 -> 0.12*2/(3*(11/6)) = 0.24/5.5
     fam3 = ThresholdFamily("by", 0.12, 3)
-    assert threshold_value(fam3, 2) == pytest.approx(0.24 / 5.5)
+    assert threshold_values(fam3, [2])[0] == pytest.approx(0.24 / 5.5)
 
 
 def test_threshold_values_bonf_and_holm():
     bonf = ThresholdFamily("bonf", 0.1, 20)
     assert np.allclose(threshold_values(bonf, [1, 7, 20]), 0.1 / 20)
     holm = ThresholdFamily("holm", 0.1, 20)
-    assert threshold_value(holm, 1) == pytest.approx(0.1 / 20)
-    assert threshold_value(holm, 20) == pytest.approx(0.1)
-    assert threshold_value(holm, 5) == pytest.approx(0.1 / 16)
+    assert threshold_values(holm, [1])[0] == pytest.approx(0.1 / 20)
+    assert threshold_values(holm, [20])[0] == pytest.approx(0.1)
+    assert threshold_values(holm, [5])[0] == pytest.approx(0.1 / 16)
 
 
 def test_threshold_pi0_scaling():

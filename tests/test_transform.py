@@ -8,10 +8,14 @@ from suptest.privacy import NoiseScales
 from suptest.transform import (
     P_CLAMP,
     clamp_pvalues,
-    noisy_p_gaussian,
-    noisy_p_laplace,
+    key_to_noisy_p,
     noisy_row,
 )
+
+
+def _noisy_p(p, scale, z, kind):
+    # the released transform: clamp, probit, add the noise, map back
+    return key_to_noisy_p(std_normal_quantile(clamp_pvalues(p)) + z, scale, kind)
 
 
 def test_clamp_pvalues():
@@ -24,30 +28,27 @@ def test_clamp_pvalues():
 
 
 def test_noisy_p_gaussian_values():
-    # Phi(Phi^-1(0.01)/sqrt(2)) reference
-    assert abs(noisy_p_gaussian(0.01, 1.0, 0.0) - 0.049987343) < 1e-8
-    # zero noise with zero draw passes through exactly
-    assert noisy_p_gaussian(0.3141592, 0.0, 0.0) == 0.3141592
-    p = np.array([0.1, 0.9, 0.5])
-    assert np.array_equal(noisy_p_gaussian(p, 0.0, np.zeros(3)), p)
+    # Phi(Phi^-1(0.01)/sqrt(2)) reference; the zero-scale passthrough is
+    # covered by test_noisy_row_deterministic_and_zero_scale
+    assert abs(_noisy_p(0.01, 1.0, 0.0, "gaussian") - 0.049987343) < 1e-8
 
 
 def test_noisy_p_gaussian_monotone_in_z():
     z = np.linspace(-3, 3, 25)
-    out = noisy_p_gaussian(0.2, 1.0, z)
+    out = _noisy_p(0.2, 1.0, z, "gaussian")
     assert np.all(np.diff(out) > 0)
 
 
 def test_noisy_p_gaussian_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        noisy_p_gaussian(0.5, -1.0, 0.0)
+        noisy_row(np.array([0.5]), -1.0, RandomStream(0), "gaussian")
 
 
 def test_noisy_p_laplace_values():
     # normal_laplace_cdf(Phi^-1(0.01) + 0, 1) reference
-    assert abs(noisy_p_laplace(0.01, 1.0, 0.0) - 0.0793509862119) < 1e-10
+    assert abs(_noisy_p(0.01, 1.0, 0.0, "laplace") - 0.0793509862119) < 1e-10
     with pytest.raises(ValueError):
-        noisy_p_laplace(0.5, 0.0, 0.0)
+        _noisy_p(0.5, 0.0, 0.0, "laplace")
 
 
 def test_transformed_uniform_is_uniform():
@@ -57,12 +58,12 @@ def test_transformed_uniform_is_uniform():
     u = g.random(n)
     for sigma in (0.5, 2.0):
         z = g.normal(0.0, sigma, n)
-        pt = noisy_p_gaussian(u, sigma, z)
+        pt = _noisy_p(u, sigma, z, "gaussian")
         hist, _ = np.histogram(pt, bins=20, range=(0, 1))
         assert np.all(np.abs(hist / n - 0.05) < 0.005)
     b = 1.0
     z = g.laplace(0.0, b, n)
-    pt = noisy_p_laplace(u, b, z)
+    pt = _noisy_p(u, b, z, "laplace")
     hist, _ = np.histogram(pt, bins=20, range=(0, 1))
     assert np.all(np.abs(hist / n - 0.05) < 0.005)
 
@@ -73,7 +74,7 @@ def test_super_uniformity_preserved_for_conservative_input():
     n = 100_000
     u = np.sqrt(g.random(n))  # P(p <= t) = t^2 <= t
     z = g.normal(0.0, 1.0, n)
-    pt = noisy_p_gaussian(u, 1.0, z)
+    pt = _noisy_p(u, 1.0, z, "gaussian")
     for t in (0.01, 0.05, 0.2, 0.5):
         assert np.mean(pt <= t) <= t + 4 * np.sqrt(t * (1 - t) / n)
 
