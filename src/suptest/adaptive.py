@@ -27,6 +27,7 @@ from .thresholds import (
     ThresholdFamily,
     budget_as_mu,
     reject_peeled,
+    released_budget,
     resolve_scales,
 )
 
@@ -214,4 +215,5 @@ def adaptive_sup_test(
                              pi0_inv_scale=1.0 / p0_hat)
     info = AdaptiveInfo(pi0_hat=p0_hat, m_star=m_star,
                         pi0_inv_bar=inv_bar, sigma_tau=sigma_tau)
-    return reject_peeled(peel, family, config.resolved_zeta(), config.budget, info)
+    return reject_peeled(peel, family, config.resolved_zeta(), released_budget(config), info,
+                         scales)

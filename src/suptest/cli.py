@@ -62,11 +62,12 @@ def _parse_pvalue_csv(text: str):
     if not data:
         raise UsageError("no p-values in input")
 
+    width = max(p_col, p_col if id_col is None else id_col) + 1
     ids, pvals = [], []
     for ln, line in data:
         fields = [f.strip() for f in line.split(",")]
-        if len(fields) <= p_col:
-            raise UsageError(f"line {ln}: expected at least {p_col + 1} fields")
+        if len(fields) < width:
+            raise UsageError(f"line {ln}: expected at least {width} fields")
         try:
             p = float(fields[p_col])
         except ValueError:
@@ -93,19 +94,23 @@ def cmd_run(args) -> int:
     ids, pvals = _parse_pvalue_csv(_read_text(args.input))
     release = run_method(spec, pvals, args.alpha, RandomStream(args.seed))
 
+    # the two release columns, indexed by row
     peel = release.peeled
-    noisy = dict(zip(peel.peeled_indices.tolist(), peel.inference_pvals.tolist()))
-    rejected_set = set(release.rejected_indices.tolist())
+    noisy = [""] * len(ids)
+    for i, val in zip(peel.peeled_indices.tolist(), map(repr, peel.inference_pvals.tolist())):
+        noisy[i] = val
+    rejected = ["0"] * len(ids)
+    for i in release.rejected_indices.tolist():
+        rejected[i] = "1"
     lines = ["id,p,noisy_p,rejected"]
-    for i, (rid, p) in enumerate(zip(ids, pvals)):
-        np_field = repr(noisy[i]) if i in noisy else ""
-        lines.append(f"{rid},{float(p)!r},{np_field},{1 if i in rejected_set else 0}")
+    lines.extend(map("{},{},{},{}".format, ids, map(repr, pvals.tolist()), noisy, rejected))
     parts = [f"method={spec.name}", f"alpha={args.alpha!r}",
              f"j_star={release.j_star}", f"m_peel={release.m_peel}"]
     if release.adaptive_info is not None:
         parts.append(f"pi0_hat={release.adaptive_info.pi0_hat!r}")
-    if release.budget is not None:
-        parts.extend(_budget_parts(release.budget))
+    privacy = _privacy_parts(release)
+    if privacy:
+        parts.extend(privacy)
         parts.append(f"seed={args.seed}")
     summary = "# " + " ".join(parts)
     lines.append(summary)
@@ -135,7 +140,15 @@ def _open_output(path: str):
         raise UsageError(f"cannot write {path}: {e.strerror}")
 
 
-def _budget_parts(budget) -> list:
+def _privacy_parts(release) -> list:
+    """The budget the release spent; the noise scales instead where
+    --sigma0/--sigma1 set them, since no budget calibrated those; nothing
+    for the classic procedures."""
+    budget, scales = release.budget, release.scales
+    if budget is None:
+        if scales is None:
+            return []
+        return [f"sigma0={scales.sigma0!r}", f"sigma1={scales.sigma1!r}"]
     if budget.kind == "gdp":
         return [f"mu={budget.mu!r}"]
     return [f"eps={budget.eps!r}", f"delta={budget.delta!r}"]

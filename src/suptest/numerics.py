@@ -1,14 +1,16 @@
 """Numerical primitives shared by the whole package.
 
 Standard normal CDF/quantile/density, the CDF of a normal plus an
-independent Laplace variable, and deterministic splittable random
-streams. Everything downstream (noise calibration, the noisy p-value
-transform, the simulation engine) reduces to these functions.
+independent Laplace variable, deterministic splittable random streams,
+and the count of cores that parallel work may use. Everything downstream
+(noise calibration, the noisy p-value transform, the simulation engine)
+reduces to these functions.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ __all__ = [
     "std_normal_quantile",
     "normal_laplace_cdf",
     "RandomStream",
+    "usable_cores",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -126,3 +129,11 @@ class RandomStream:
             entropy=self.seed, spawn_key=(self.stream_id, *self.path)
         )
         return np.random.Generator(np.random.Philox(ss))
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one (so `taskset` and cpusets limit it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -12,6 +12,18 @@ the key over the survivors and drops the row; the inference row is
 transformed at the m_peel peeled indices only. Memory is O(m) and each
 round costs one noise draw plus two passes over the keys.
 
+Who draws the rows: the rows do not depend on the peel, and draws are
+about 90% of a large one, so for m >= THREADED_MIN_M (10,000) a thread
+pool draws the upcoming rows in round order while the rounds consume
+them. It has one thread per usable core, at most MAX_DRAW_THREADS (4),
+and draws as many rows ahead as it has threads, so memory stays O(m);
+numpy releases the GIL while it fills a row. Shorter rows, a process
+with one usable core (`taskset -c 0`) and a multiprocessing child, such
+as a run_replications worker whose siblings already use the cores, draw
+the rows in the round loop. Every row comes from a fresh generator on its
+own stream, so the release is the same bytes for any number of cores.
+The pool is shut down before reversed_peel returns or raises.
+
 Tie rule: the transform's clip to [1e-300, 1 - 1e-16], and rounding, can
 give distinct keys the same noisy p-value, which the rule above breaks
 toward the smallest index, not toward the smaller key. A round is
@@ -30,15 +42,26 @@ private BH pipeline does.
 
 from __future__ import annotations
 
+import sys
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .numerics import RandomStream, std_normal_quantile
+from .numerics import RandomStream, std_normal_quantile, usable_cores
 from .privacy import NoiseScales
 from .transform import NOISE_KINDS, clamp_pvalues, draw_noise, key_to_noisy_p
 
 __all__ = ["PeelOutcome", "reversed_peel", "forward_peel_baseline"]
+
+# Rows of at least this many values are drawn on worker threads (see
+# _draw_threads). On 2 cores, threads were slower than the round loop for
+# Gaussian rows up to about 8,000 values and faster from 10,000.
+THREADED_MIN_M = 10_000
+# at most this many threads draw, and at most this many rows are drawn ahead
+MAX_DRAW_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -119,25 +142,74 @@ def _rounds(q: np.ndarray, order: np.ndarray, start: int, scale: float,
     alive = np.ones(m, dtype=bool)
     alive[order[:start]] = False
     pairs = np.empty((min(m_peel, m - 1) - start, 2))
-    for k in range(start, m_peel):
-        key = q + draw_noise(stream.child(k + 1), scale, m, noise_kind)
-        key[order[:k]] = np.inf
-        j = int(np.argmin(key))
-        if k + 1 < m:
-            lo = key[j]
-            key[j] = np.inf
-            pair = pairs[k - start]
-            pair[:] = lo, key.min()
-            key[j] = lo
-            if tie_rule:
-                p_lo, p_second = key_to_noisy_p(pair, scale, noise_kind)
-                if p_second <= p_lo:
-                    survivors = np.flatnonzero(alive)
-                    j = int(survivors[np.argmin(key_to_noisy_p(key[survivors], scale,
-                                                                noise_kind))])
-        order[k] = j
-        alive[j] = False
+    with _noise_rows(stream, scale, m, noise_kind, range(start, m_peel)) as rows:
+        for k, z in zip(range(start, m_peel), rows):
+            key = q + z
+            key[order[:k]] = np.inf
+            j = int(np.argmin(key))
+            if k + 1 < m:
+                lo = key[j]
+                key[j] = np.inf
+                pair = pairs[k - start]
+                pair[:] = lo, key.min()
+                key[j] = lo
+                if tie_rule:
+                    p_lo, p_second = key_to_noisy_p(pair, scale, noise_kind)
+                    if p_second <= p_lo:
+                        survivors = np.flatnonzero(alive)
+                        j = int(survivors[np.argmin(key_to_noisy_p(key[survivors], scale,
+                                                                    noise_kind))])
+            order[k] = j
+            alive[j] = False
     return pairs
+
+
+def _draw_threads(m: int) -> int:
+    """Threads that draw the noise rows of a peel over m values: 1 below
+    THREADED_MIN_M and inside a multiprocessing child, whose parent
+    already keeps the cores busy, else the usable cores, at most
+    MAX_DRAW_THREADS. A process that never imported multiprocessing is no
+    child of it, so the check imports nothing."""
+    if m < THREADED_MIN_M:
+        return 1
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    return min(usable_cores(), MAX_DRAW_THREADS)
+
+
+@contextmanager
+def _noise_rows(stream: RandomStream, scale: float, m: int, noise_kind: str, rounds):
+    """Yields the noise rows of the given rounds in order, round k's row
+    drawn from stream.child(k + 1). With more than one draw thread, the
+    upcoming rows are drawn on a thread pool, as many ahead as there are
+    threads; numpy releases the GIL while it fills a row. The pool is shut
+    down when the block exits, also on an exception."""
+
+    def draw(k):
+        return draw_noise(stream.child(k + 1), scale, m, noise_kind)
+
+    threads = _draw_threads(m)
+    if threads == 1:
+        yield map(draw, rounds)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(threads)
+    try:
+        yield _drawn_ahead(pool, draw, iter(rounds), threads)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _drawn_ahead(pool, draw, rounds, depth: int):
+    """draw(k) for each k of rounds, in order, computed on pool at most
+    depth ahead of the one yielded."""
+    pending = deque(pool.submit(draw, k) for k in islice(rounds, depth))
+    while pending:
+        row = pending.popleft().result()
+        pending.extend(pool.submit(draw, k) for k in islice(rounds, 1))
+        yield row
 
 
 def forward_peel_baseline(

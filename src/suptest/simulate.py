@@ -10,17 +10,15 @@ errors and exported as CSV rows `method,metric,mean,stderr,reps`.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .adaptive import AdaptiveConfig, adaptive_sup_test
 from .baselines import DworkParams, classic_procedure, dp_bh, dp_bonf
-from .numerics import RandomStream, std_normal_cdf, std_normal_quantile
+from .numerics import RandomStream, std_normal_cdf, std_normal_quantile, usable_cores
 from .peeling import PeelOutcome
 from .privacy import PrivacyBudget, experiment_mu
 from .thresholds import Release, TestConfig, sup_test, truncated_sup_test
@@ -186,7 +184,16 @@ def _adaptive_config(options: dict) -> AdaptiveConfig:
     )
 
 
+# options of the quantile-scale tests that would silently change nothing in
+# the log-scale comparators, which take an (eps, delta) budget only
+_NOT_DWORK = ("mu", "sigma0", "sigma1")
+
+
 def _dwork_params(alpha: float, m: int, options: dict) -> DworkParams:
+    for key in _NOT_DWORK:
+        if key in options:
+            raise ValueError(f"option {key!r} does not apply to the dp-* baselines, "
+                             "which take an (eps, delta) budget")
     scale = options.get("laplace_scale")
     return DworkParams(
         eta=float(options.get("eta", 1e-4)),
@@ -282,11 +289,7 @@ def _worker_count(reps: int) -> int:
     start method, inside a daemonic worker, which may not have children,
     and beside other Python threads, which a forked child could find
     holding a lock."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    n = min(cores, reps)
+    n = min(usable_cores(), reps)
     if n > 1:
         import multiprocessing
 
@@ -390,6 +393,10 @@ def asymptotic_bh_threshold(
         hi = cand
     if lo is None:
         raise ValueError("no positive root found for the threshold equation")
+    # imported here: no release needs scipy.optimize, and it costs a
+    # `suptest run` process about 0.2 s
+    from scipy import optimize
+
     lam = float(optimize.brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16))
     return lam, float(f1(lam))
 

@@ -42,6 +42,7 @@ __all__ = [
     "reject_peeled",
     "sup_test",
     "truncated_sup_test",
+    "released_budget",
     "resolve_scales",
     "budget_as_mu",
 ]
@@ -111,8 +112,11 @@ class Release:
     tests, all m raw p-values for the classic procedures, and nothing for
     the log-scale comparators, which release decisions only. m_peel is the
     peeling number the method used (m* for the adaptive tests, m for the
-    classic procedures and dp-bonf); budget is None for the classic
-    procedures and for truncated_sup_test.
+    classic procedures and dp-bonf). budget is the privacy budget the
+    release spent: None for the classic procedures, for truncated_sup_test
+    and where sigma_override set the noise scales, which no budget
+    calibrated. scales are the noise scales of sup_test and
+    adaptive_sup_test, None for the other methods.
     """
 
     peeled: peeling.PeelOutcome
@@ -121,6 +125,7 @@ class Release:
     m_peel: int
     budget: Optional[PrivacyBudget] = None
     adaptive_info: Optional[AdaptiveInfo] = None
+    scales: Optional[NoiseScales] = None
 
 
 def _harmonic(m: int) -> float:
@@ -170,12 +175,14 @@ def select_step(sorted_pvals, family: ThresholdFamily, zeta: int) -> int:
 
 def reject_peeled(peel: peeling.PeelOutcome, family: ThresholdFamily, zeta: int,
                   budget: Optional[PrivacyBudget] = None,
-                  adaptive_info: Optional[AdaptiveInfo] = None) -> Release:
+                  adaptive_info: Optional[AdaptiveInfo] = None,
+                  scales: Optional[NoiseScales] = None) -> Release:
     """Sort the peeled inference values, select, reject."""
     order = np.argsort(peel.inference_pvals, kind="stable")
     j_star = select_step(peel.inference_pvals[order], family, zeta)
     rejected = np.sort(peel.peeled_indices[order[:j_star]])
-    return Release(peel, j_star, rejected, peel.peeled_indices.size, budget, adaptive_info)
+    return Release(peel, j_star, rejected, peel.peeled_indices.size, budget, adaptive_info,
+                   scales)
 
 
 def budget_as_mu(budget: PrivacyBudget) -> float:
@@ -184,6 +191,12 @@ def budget_as_mu(budget: PrivacyBudget) -> float:
     if budget.kind == "gdp":
         return budget.mu
     return experiment_mu(budget.eps, budget.delta)
+
+
+def released_budget(config: TestConfig) -> Optional[PrivacyBudget]:
+    """The budget a release under config spent: config.budget, or None
+    where sigma_override set the scales, since no budget calibrated them."""
+    return config.budget if config.sigma_override is None else None
 
 
 def resolve_scales(config: TestConfig, m_peel: int) -> NoiseScales:
@@ -217,7 +230,8 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
 
     Returns:
         Release with the peel outcome, j_star, the rejected hypothesis
-        indices (0-based positions into pvals) and config.budget.
+        indices (0-based positions into pvals), the budget spent (see
+        released_budget) and the noise scales.
     """
     p = np.asarray(pvals, dtype=float)
     _check_m_peel(config.m_peel, p.size)
@@ -226,7 +240,8 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
         stream = RandomStream(config.seed)
     peel = peeling.reversed_peel(p, config.m_peel, scales, stream, config.noise_kind)
     family = ThresholdFamily(config.family, config.alpha, p.size)
-    return reject_peeled(peel, family, config.resolved_zeta(), config.budget)
+    return reject_peeled(peel, family, config.resolved_zeta(), released_budget(config),
+                         scales=scales)
 
 
 def truncated_sup_test(

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -20,6 +21,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance measurements")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fails a test that leaves a live thread behind: run_replications runs
+    serially beside other threads, so a leaked one would silently slow
+    every later study in the process."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    assert not leaked, f"test left live threads behind: {leaked}"
 
 
 def _desk_table(methods, **overrides):

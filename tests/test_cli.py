@@ -120,6 +120,33 @@ def test_run_dp_rows_leave_noisy_blank(pfile, capsys):
     assert "m_peel=30" in out[-1]
 
 
+@pytest.mark.parametrize("method", ["sup-bh", "asup-bh"])
+def test_run_overridden_scales_print_scales_not_a_budget(pfile, capsys, method):
+    path, _ = pfile
+    assert main(["run", "--input", str(path), "--method", method, "--m-peel", "40",
+                 "--m-tilde", "10", "--sigma0", "0.01"]) == 0
+    summary = capsys.readouterr().out.strip().split("\n")[-1].split()
+    assert summary[-3:] == ["sigma0=0.01", "sigma1=0.02", "seed=0"]
+    assert not [t for t in summary if t.startswith(("eps=", "delta=", "mu="))]
+    assert main(["run", "--input", str(path), "--method", "sup-bh", "--m-peel", "40",
+                 "--mu", "1", "--sigma1", "0.5"]) == 0
+    summary = capsys.readouterr().out.strip().split("\n")[-1]
+    assert summary.endswith(" m_peel=40 sigma0=0.0 sigma1=0.5 seed=0")
+
+
+@pytest.mark.parametrize("flag", ["--mu", "--sigma0", "--sigma1"])
+def test_run_dp_rejects_flags_it_would_ignore(pfile, tmp_path, capsys, flag):
+    path, _ = pfile
+    for method in ("dp-bh", "dp-bonf"):
+        assert main(["run", "--input", str(path), "--method", method, flag, "0.7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"'{flag[2:]}'" in err
+    scen = tmp_path / "scen.cfg"
+    scen.write_text(f"m=100\nm1=5\nreps=2\nmethods=dp-bh\ndp-bh.{flag[2:]}=0.7\n")
+    assert main(["simulate", "--scenario", str(scen)]) == 2
+    assert f"'{flag[2:]}'" in capsys.readouterr().err
+
+
 def test_run_output_file(pfile, tmp_path, capsys):
     path, _ = pfile
     dest = tmp_path / "out.csv"
@@ -161,6 +188,12 @@ def test_run_rejects_bad_input(tmp_path, capsys):
     assert main(["run", "--input", str(out_of_range), "--method", "bh"]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "outside" in err
+
+    # a row short of the id column, which comes after the p column
+    short = tmp_path / "short.csv"
+    short.write_text("p,id\n0.2,a\n0.5\n")
+    assert main(["run", "--input", str(short), "--method", "bh"]) == 2
+    assert "line 3: expected at least 2 fields" in capsys.readouterr().err
 
     missing = tmp_path / "nope.csv"
     assert main(["run", "--input", str(missing), "--method", "bh"]) == 2

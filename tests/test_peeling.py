@@ -1,4 +1,9 @@
+import hashlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,9 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_reversed_peel, generate_noisy_matrix
 from forward_oracle import forward_peel_delete
+from suptest import peeling
+from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
 from suptest.numerics import RandomStream, std_normal_cdf
 from suptest.peeling import PeelOutcome, forward_peel_baseline, reversed_peel
-from suptest.privacy import NoiseScales
+from suptest.privacy import NoiseScales, PrivacyBudget
+from suptest.thresholds import TestConfig, sup_test
 from suptest.transform import noisy_row
 
 
@@ -198,3 +206,119 @@ def test_peel_outcome_is_plain_record():
     out = PeelOutcome(np.array([1]), np.array([0.5]))
     assert out.peeled_indices[0] == 1
     assert out.inference_pvals[0] == 0.5
+
+
+# ---------------------------------------------------------------- draw threads
+
+# above the size where the rows are drawn on threads
+_M_THREADED = peeling.THREADED_MIN_M + 2_000
+
+
+def _digest(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+def _same_for_any_thread_count(monkeypatch, run):
+    # 1 is the serial loop; 2 and 4 draw on a pool even on a one-core host;
+    # None leaves the count at its derived value
+    derived = peeling._draw_threads
+    digests = {}
+    for threads in (1, 2, 4, None):
+        monkeypatch.setattr(peeling, "_draw_threads",
+                            derived if threads is None else lambda m, t=threads: t)
+        digests[threads] = run()
+    assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
+def test_reversed_peel_same_bytes_for_any_thread_count(monkeypatch, noise_kind):
+    p = np.random.default_rng(8).uniform(size=_M_THREADED)
+    p[:50] *= 1e-6
+
+    def run():
+        out = reversed_peel(p, 60, NoiseScales(0.3, 0.6), RandomStream(5), noise_kind)
+        return _digest(out.peeled_indices, out.inference_pvals)
+    _same_for_any_thread_count(monkeypatch, run)
+
+
+def test_reversed_peel_tie_rerun_same_bytes_for_any_thread_count(monkeypatch):
+    # all p = 1 with tiny noise: noisy p-values tie within ulps of 1, so the
+    # rounds rerun under the tie rule, which draws its rows a second time
+    p, scales = np.ones(_M_THREADED), NoiseScales(0.01, 0.01)
+    reruns = []
+    rounds = peeling._rounds
+
+    def counting_rounds(*args):
+        reruns.append(args[-1])
+        return rounds(*args)
+
+    def run():
+        out = reversed_peel(p, 12, scales, RandomStream(9), "gaussian")
+        return _digest(out.peeled_indices, out.inference_pvals)
+    monkeypatch.setattr(peeling, "_rounds", counting_rounds)
+    run()
+    assert reruns == [False, True]
+    _same_for_any_thread_count(monkeypatch, run)
+
+
+@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
+def test_sup_test_same_bytes_for_any_thread_count(monkeypatch, noise_kind):
+    p = np.random.default_rng(10).uniform(size=_M_THREADED)
+    p[:100] *= 1e-7
+    cfg = TestConfig(family="bh", budget=PrivacyBudget.approx_dp(0.5, 1e-3), m_peel=80,
+                     noise_kind=noise_kind)
+
+    def run():
+        res = sup_test(p, cfg, RandomStream(11))
+        return _digest(res.peeled.peeled_indices, res.peeled.inference_pvals,
+                       res.rejected_indices)
+    _same_for_any_thread_count(monkeypatch, run)
+
+
+def test_adaptive_sup_test_same_bytes_for_any_thread_count(monkeypatch):
+    p = np.random.default_rng(12).uniform(size=_M_THREADED)
+    p[:100] *= 1e-7
+    cfg = TestConfig(family="bh", budget=PrivacyBudget.approx_dp(0.5, 1e-3))
+
+    def run():
+        res = adaptive_sup_test(p, cfg, AdaptiveConfig(m_tilde=40), RandomStream(13))
+        return _digest(res.peeled.peeled_indices, res.peeled.inference_pvals,
+                       res.rejected_indices, np.array([res.m_peel]))
+    _same_for_any_thread_count(monkeypatch, run)
+
+
+def test_draw_threads_rule(monkeypatch):
+    # reads the affinity mask and the multiprocessing state; starts nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    big = peeling.THREADED_MIN_M
+    assert peeling._draw_threads(big - 1) == 1
+    assert peeling._draw_threads(big) == peeling.MAX_DRAW_THREADS == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert peeling._draw_threads(big) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert peeling._draw_threads(big) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # inside a multiprocessing child, such as a run_replications worker
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: SimpleNamespace())
+    assert peeling._draw_threads(big) == 1
+    # a process that never imported multiprocessing is not its child
+    monkeypatch.delitem(sys.modules, "multiprocessing")
+    assert peeling._draw_threads(big) == 2
+
+
+def test_threaded_release_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(peeling, "_draw_threads", lambda m: 2)
+    p = np.random.default_rng(14).uniform(size=_M_THREADED)
+    before = threading.active_count()
+    reversed_peel(p, 30, NoiseScales(0.3, 0.6), RandomStream(1))
+    assert threading.active_count() == before
+    draw = peeling.draw_noise
+
+    def failing_draw(stream, scale, size, noise_kind):
+        if stream.path[-1] == 7:
+            raise RuntimeError("draw failed")
+        return draw(stream, scale, size, noise_kind)
+    monkeypatch.setattr(peeling, "draw_noise", failing_draw)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        reversed_peel(p, 30, NoiseScales(0.3, 0.6), RandomStream(1))
+    assert threading.active_count() == before

@@ -202,6 +202,19 @@ def test_import_does_not_load_multiprocessing():
     assert out.strip() == "False"
 
 
+def test_cli_import_loads_no_pool_or_optimizer():
+    # what `suptest run` loads beyond numpy and scipy.special, which some
+    # scipy versions make load concurrent.futures through numpy.testing
+    src = str(Path(suptest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, numpy, scipy.special; deps = set(sys.modules); "
+            "import suptest.cli; print(sorted(m for m in set(sys.modules) - deps "
+            "if m.startswith(('scipy.optimize', 'concurrent', 'multiprocessing'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_run_replications_no_signals():
     scn = _scn(m=200, m1=0, reps=6)
     t = run_replications(scn)
@@ -268,6 +281,27 @@ def test_run_method_dispatch_covers_registry():
             want = (PrivacyBudget.gdp(0.5) if "mu" in spec.options
                     else PrivacyBudget.approx_dp(0.5, 1e-3))
             assert release.budget == want
+
+
+def test_run_method_overridden_scales_claim_no_budget():
+    p = np.random.default_rng(1).uniform(size=100)
+    for name in ("sup-bh", "asup-bh"):
+        release = run_method(MethodSpec(name, options={"sigma0": 0.01, "m_peel": 20}),
+                             p, 0.1, RandomStream(2))
+        assert release.budget is None
+        assert (release.scales.sigma0, release.scales.sigma1) == (0.01, 0.02)
+    calibrated = run_method(MethodSpec("sup-bh", options={"m_peel": 20}), p, 0.1,
+                            RandomStream(2))
+    assert calibrated.budget == PrivacyBudget.approx_dp(0.5, 1e-3)
+    assert calibrated.scales.sigma1 == 2.0 * calibrated.scales.sigma0 > 0.0
+
+
+@pytest.mark.parametrize("name", ["dp-bh", "dp-bonf"])
+@pytest.mark.parametrize("option", ["mu", "sigma0", "sigma1"])
+def test_run_method_dp_rejects_options_it_would_ignore(name, option):
+    p = np.random.default_rng(1).uniform(size=50)
+    with pytest.raises(ValueError, match=f"'{option}'"):
+        run_method(MethodSpec(name, options={option: 0.7}), p, 0.1, RandomStream(2))
 
 
 def test_noise_inflation():
