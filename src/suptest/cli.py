@@ -91,8 +91,9 @@ def _run_options(args) -> dict:
 
 def cmd_run(args) -> int:
     spec = MethodSpec(args.method, options=_run_options(args))
+    stream = RandomStream(args.seed)
     ids, pvals = _parse_pvalue_csv(_read_text(args.input))
-    release = run_method(spec, pvals, args.alpha, RandomStream(args.seed))
+    release = run_method(spec, pvals, args.alpha, stream)
 
     # the two release columns, indexed by row
     peel = release.peeled

@@ -12,17 +12,24 @@ the key over the survivors and drops the row; the inference row is
 transformed at the m_peel peeled indices only. Memory is O(m) and each
 round costs one noise draw plus two passes over the keys.
 
-Who draws the rows: the rows do not depend on the peel, and draws are
-about 90% of a large one, so for m >= THREADED_MIN_M (10,000) a thread
-pool draws the upcoming rows in round order while the rounds consume
-them. It has one thread per usable core, at most MAX_DRAW_THREADS (4),
-and draws as many rows ahead as it has threads, so memory stays O(m);
-numpy releases the GIL while it fills a row. Shorter rows, a process
-with one usable core (`taskset -c 0`) and a multiprocessing child, such
-as a run_replications worker whose siblings already use the cores, draw
-the rows in the round loop. Every row comes from a fresh generator on its
-own stream, so the release is the same bytes for any number of cores.
-The pool is shut down before reversed_peel returns or raises.
+Who draws the rows: a noise row costs only its draws. The Philox keys of
+all the rows of a peel are hashed in one RandomStream.child_keys call, and
+each row is drawn from a generator keyed with its key, which gives the
+same bytes as stream.child(k).generator(); no row builds its own
+SeedSequence. In the round loop one generator is re-keyed before each
+row, to a zero counter and an empty buffer. The rows do not depend on the
+peel, and draws are about 90% of a large one, so for m >= THREADED_MIN_M
+(10,000) a thread pool draws the upcoming rows in round order while the
+rounds consume them, each row on a new generator built from its key, as
+threads cannot share one. The pool has one thread per usable core, at
+most MAX_DRAW_THREADS (4), and draws as many rows ahead as it has
+threads, so memory stays O(m); numpy releases the GIL while it fills a
+row. Shorter rows, a process with one usable core (`taskset -c 0`) and a
+multiprocessing child, such as a run_replications worker whose siblings
+already use the cores, draw the rows in the round loop. Every row is
+drawn from the start of its own stream, so the release is the same bytes
+for any number of cores. The pool is shut down before reversed_peel
+returns or raises.
 
 Tie rule: the transform's clip to [1e-300, 1 - 1e-16], and rounding, can
 give distinct keys the same noisy p-value, which the rule above breaks
@@ -50,7 +57,7 @@ from itertools import islice
 
 import numpy as np
 
-from .numerics import RandomStream, std_normal_quantile, usable_cores
+from .numerics import RandomStream, rekeyed, std_normal_quantile, usable_cores
 from .privacy import NoiseScales
 from .transform import NOISE_KINDS, clamp_pvalues, draw_noise, key_to_noisy_p
 
@@ -113,7 +120,7 @@ def reversed_peel(
         order = _peel_rounds(q, m_peel, scales.sigma1, stream, noise_kind)
     if scales.sigma0 == 0.0:
         return PeelOutcome(order, pc[order])
-    z = draw_noise(stream.child(0), scales.sigma0, pc.size, noise_kind)
+    z = draw_noise(stream.child(0).generator(), scales.sigma0, pc.size, noise_kind)
     return PeelOutcome(order, key_to_noisy_p(q[order] + z[order], scales.sigma0, noise_kind))
 
 
@@ -139,13 +146,13 @@ def _rounds(q: np.ndarray, order: np.ndarray, start: int, scale: float,
     whose second-smallest key's noisy p-value is not larger than its
     smallest key's is decided on its whole transformed surviving row."""
     m, m_peel = q.size, order.size
-    alive = np.ones(m, dtype=bool)
-    alive[order[:start]] = False
+    # q with the peeled entries at +inf; each row is added into it in place
+    q_alive = q.copy()
+    q_alive[order[:start]] = np.inf
     pairs = np.empty((min(m_peel, m - 1) - start, 2))
     with _noise_rows(stream, scale, m, noise_kind, range(start, m_peel)) as rows:
-        for k, z in zip(range(start, m_peel), rows):
-            key = q + z
-            key[order[:k]] = np.inf
+        for k, key in zip(range(start, m_peel), rows):
+            np.add(q_alive, key, out=key)
             j = int(np.argmin(key))
             if k + 1 < m:
                 lo = key[j]
@@ -156,11 +163,11 @@ def _rounds(q: np.ndarray, order: np.ndarray, start: int, scale: float,
                 if tie_rule:
                     p_lo, p_second = key_to_noisy_p(pair, scale, noise_kind)
                     if p_second <= p_lo:
-                        survivors = np.flatnonzero(alive)
+                        survivors = np.flatnonzero(q_alive != np.inf)
                         j = int(survivors[np.argmin(key_to_noisy_p(key[survivors], scale,
                                                                     noise_kind))])
             order[k] = j
-            alive[j] = False
+            q_alive[j] = np.inf
     return pairs
 
 
@@ -180,35 +187,39 @@ def _draw_threads(m: int) -> int:
 
 @contextmanager
 def _noise_rows(stream: RandomStream, scale: float, m: int, noise_kind: str, rounds):
-    """Yields the noise rows of the given rounds in order, round k's row
-    drawn from stream.child(k + 1). With more than one draw thread, the
-    upcoming rows are drawn on a thread pool, as many ahead as there are
-    threads; numpy releases the GIL while it fills a row. The pool is shut
-    down when the block exits, also on an exception."""
-
-    def draw(k):
-        return draw_noise(stream.child(k + 1), scale, m, noise_kind)
-
+    """Yields the noise rows of the given range of rounds in order, round
+    k's row drawn from the start of stream.child(k + 1), each a new array.
+    The rows' keys are hashed in one call. In one thread, one generator is
+    re-keyed before each row. With more than one draw thread, the upcoming
+    rows are drawn on a thread pool, each on a new generator, as many
+    ahead as there are threads; numpy releases the GIL while it fills a
+    row. The pool is shut down when the block exits, also on an
+    exception."""
+    keys = stream.child_keys(np.arange(rounds.start + 1, rounds.stop + 1))
     threads = _draw_threads(m)
     if threads == 1:
-        yield map(draw, rounds)
+        gen = np.random.Generator(np.random.Philox(key=0))
+        yield (draw_noise(rekeyed(gen, key), scale, m, noise_kind) for key in keys)
         return
     from concurrent.futures import ThreadPoolExecutor
 
+    def draw(key):
+        return draw_noise(np.random.Generator(np.random.Philox(key=key)), scale, m, noise_kind)
+
     pool = ThreadPoolExecutor(threads)
     try:
-        yield _drawn_ahead(pool, draw, iter(rounds), threads)
+        yield _drawn_ahead(pool, draw, iter(keys), threads)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _drawn_ahead(pool, draw, rounds, depth: int):
-    """draw(k) for each k of rounds, in order, computed on pool at most
+def _drawn_ahead(pool, draw, items, depth: int):
+    """draw(x) for each x of items, in order, computed on pool at most
     depth ahead of the one yielded."""
-    pending = deque(pool.submit(draw, k) for k in islice(rounds, depth))
+    pending = deque(pool.submit(draw, x) for x in islice(items, depth))
     while pending:
         row = pending.popleft().result()
-        pending.extend(pool.submit(draw, k) for k in islice(rounds, 1))
+        pending.extend(pool.submit(draw, x) for x in islice(items, 1))
         yield row
 
 

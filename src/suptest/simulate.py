@@ -104,6 +104,7 @@ class SimScenario:
             raise ValueError("alpha must lie in (0,1)")
         if self.reps < 1:
             raise ValueError("reps must be a positive integer")
+        RandomStream(self.seed)  # raises for a negative seed
         if not self.methods:
             raise ValueError("scenario configures no methods")
         labels = [s.label for s in self.methods]

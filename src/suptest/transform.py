@@ -47,10 +47,11 @@ def clamp_pvalues(pvals) -> np.ndarray:
     return np.clip(np.asarray(pvals, dtype=float), P_CLAMP, 1.0 - P_CLAMP)
 
 
-def draw_noise(stream: RandomStream, scale: float, size: int, noise_kind: str) -> np.ndarray:
+def draw_noise(gen: np.random.Generator, scale: float, size: int,
+               noise_kind: str) -> np.ndarray:
     """size i.i.d. noise values of the given kind and scale > 0, drawn from
-    a fresh generator at the start of `stream`."""
-    gen = stream.generator()
+    gen; a generator fresh at the start of a stream draws that stream's
+    noise row."""
     if noise_kind == "gaussian":
         return gen.normal(0.0, scale, size)
     return gen.laplace(0.0, scale, size)
@@ -78,5 +79,5 @@ def noisy_row(pvals, scale: float, stream: RandomStream, noise_kind: str) -> np.
     pc = clamp_pvalues(pvals)
     if scale == 0.0:
         return pc
-    keys = std_normal_quantile(pc) + draw_noise(stream, scale, pc.size, noise_kind)
+    keys = std_normal_quantile(pc) + draw_noise(stream.generator(), scale, pc.size, noise_kind)
     return key_to_noisy_p(keys, scale, noise_kind)

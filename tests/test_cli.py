@@ -197,6 +197,15 @@ def test_run_rejects_bad_input(tmp_path, capsys):
 
     missing = tmp_path / "nope.csv"
     assert main(["run", "--input", str(missing), "--method", "bh"]) == 2
+    capsys.readouterr()
+
+    # a negative seed fails before the input is read, for every method,
+    # also those that draw nothing
+    for method in ("bh", "sup-bh", "asup-bh", "dp-bonf"):
+        assert main(["run", "--input", str(missing), "--method", method,
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: seed must be a nonnegative integer, got -1\n"
 
 
 def test_run_unknown_method(pfile, capsys):
@@ -249,6 +258,19 @@ def test_simulate_rejects_bad_reps(tmp_path, capsys):
     scen = tmp_path / "scen.cfg"
     scen.write_text("m=200\nm1=10\nreps=0\nmethods=bh\n")
     assert main(["simulate", "--scenario", str(scen)]) == 2
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys, monkeypatch):
+    def no_study(scenario):
+        raise AssertionError("the study ran with a negative seed")
+    monkeypatch.setattr(cli, "run_replications", no_study)
+    assert main(["simulate", "--preset", "desk", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: invalid scenario: seed must be a nonnegative integer, got -1\n"
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("m=200\nm1=10\nreps=1\nseed=-3\nmethods=bh\n")
+    assert main(["simulate", "--scenario", str(scen)]) == 2
+    assert "seed must be a nonnegative integer, got -3" in capsys.readouterr().err
 
 
 def test_simulate_scenario_xor_preset(tmp_path, capsys):

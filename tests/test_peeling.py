@@ -22,59 +22,66 @@ from suptest.transform import noisy_row
 
 
 class _FixedStream:
-    """Stream stand-in: every draw from child k returns noise row k, so with
-    p = 0.5 (quantile 0) the peeling keys are the rows themselves."""
+    """Stream stand-in whose child k draws on a Philox keyed (k, 0), from
+    generator() and from child_keys alike; _peel_keys makes every draw
+    from key (k, 0) return noise row k, so with p = 0.5 (quantile 0) the
+    peeling keys are the rows themselves."""
 
-    def __init__(self, rows, path=()):
-        self.rows, self.path = np.asarray(rows, dtype=float), path
+    def __init__(self, path=()):
+        self.path = path
 
     def child(self, index):
-        return _FixedStream(self.rows, self.path + (index,))
+        return _FixedStream(self.path + (index,))
 
     def generator(self):
-        row = self.rows[self.path[-1]]
+        return np.random.Generator(np.random.Philox(key=self.path[-1]))
 
-        def draw(loc, scale, size):
-            return row.copy()
-        return SimpleNamespace(normal=draw, laplace=draw)
+    def child_keys(self, indices):
+        k = np.asarray(indices, dtype=np.uint64)
+        return np.column_stack([k, np.zeros_like(k)])
 
 
-def _peel_keys(rows, noise_kind="gaussian"):
+def _peel_keys(monkeypatch, rows, noise_kind="gaussian"):
     rows = np.asarray(rows, dtype=float)
+
+    def draw(gen, scale, size, kind):
+        return rows[gen.bit_generator.state["state"]["key"][0]].copy()
+    monkeypatch.setattr(peeling, "draw_noise", draw)
     p = np.full(rows.shape[1], 0.5)
-    return reversed_peel(p, rows.shape[0] - 1, NoiseScales(1.0, 1.0),
-                         _FixedStream(rows), noise_kind)
+    return reversed_peel(p, rows.shape[0] - 1, NoiseScales(1.0, 1.0), _FixedStream(),
+                         noise_kind)
 
 
-def test_reversed_peel_hand_instance():
+def test_reversed_peel_hand_instance(monkeypatch):
     # round 1 picks index 2, round 2 then picks index 0
     rows = [
         [0.10, 0.20, 0.30, 0.40],   # inference noise
         [0.50, 0.60, 0.05, 0.70],
         [0.01, 0.02, 0.00, 0.90],   # index 2 already gone -> index 0
     ]
-    out = _peel_keys(rows)
+    out = _peel_keys(monkeypatch, rows)
     assert np.array_equal(out.peeled_indices, [2, 0])
     expect = std_normal_cdf(np.array([0.30, 0.10]) / math.sqrt(2))
     assert np.array_equal(out.inference_pvals, expect)
 
 
-def test_reversed_peel_tie_breaks_to_smallest_index():
+def test_reversed_peel_tie_breaks_to_smallest_index(monkeypatch):
     rows = [
         [0.1, 0.2, 0.3],
         [0.5, 0.5, 0.5],
         [0.7, 0.7, 0.7],
     ]
-    out = _peel_keys(rows)
+    out = _peel_keys(monkeypatch, rows)
     assert np.array_equal(out.peeled_indices, [0, 1])
     # distinct keys whose noisy p-values all clip to 1e-300 tie as well:
     # the smallest index wins, not the smallest key
     saturated = [[0.0, 0.0, 0.0], [-800.0, -900.0, -1000.0], [-800.0, -900.0, -1000.0]]
     for kind in ("gaussian", "laplace"):
-        assert np.array_equal(_peel_keys(saturated, kind).peeled_indices, [0, 1])
+        assert np.array_equal(_peel_keys(monkeypatch, saturated, kind).peeled_indices,
+                              [0, 1])
     # the same keys peel by size once they no longer saturate
-    assert np.array_equal(_peel_keys([[0, 0, 0], [-6, -7, -8], [-6, -7, -8]]).peeled_indices,
-                          [2, 1])
+    unsaturated = [[0, 0, 0], [-6, -7, -8], [-6, -7, -8]]
+    assert np.array_equal(_peel_keys(monkeypatch, unsaturated).peeled_indices, [2, 1])
 
 
 def test_reversed_peel_full_depth():
@@ -143,6 +150,25 @@ def test_reversed_peel_ties_near_one_equal_dense_oracle(noise_kind, m, scale, se
         generate_noisy_matrix(pvals, m, scales, stream, noise_kind))
     assert np.array_equal(out.peeled_indices, order)
     assert np.array_equal(out.inference_pvals, inference)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
+def test_reversed_peel_builds_one_stream_generator(monkeypatch, noise_kind, threads):
+    # the m_peel noise rows are keyed from one batch of keys; only the
+    # inference row builds a generator from its stream
+    monkeypatch.setattr(peeling, "_draw_threads", lambda m: threads)
+    built = []
+    generator = RandomStream.generator
+
+    def counting_generator(stream):
+        built.append(stream.path)
+        return generator(stream)
+    monkeypatch.setattr(RandomStream, "generator", counting_generator)
+    p = np.random.default_rng(15).uniform(size=500)
+    out = reversed_peel(p, 50, NoiseScales(0.3, 0.6), RandomStream(6), noise_kind)
+    assert out.peeled_indices.size == 50
+    assert built == [(0,)]
 
 
 def test_forward_peel_zero_noise_is_sorted_order():
@@ -313,11 +339,12 @@ def test_threaded_release_leaves_no_thread_behind(monkeypatch):
     reversed_peel(p, 30, NoiseScales(0.3, 0.6), RandomStream(1))
     assert threading.active_count() == before
     draw = peeling.draw_noise
+    failing_key = RandomStream(1).child_keys([7])[0]
 
-    def failing_draw(stream, scale, size, noise_kind):
-        if stream.path[-1] == 7:
+    def failing_draw(gen, scale, size, noise_kind):
+        if np.array_equal(gen.bit_generator.state["state"]["key"], failing_key):
             raise RuntimeError("draw failed")
-        return draw(stream, scale, size, noise_kind)
+        return draw(gen, scale, size, noise_kind)
     monkeypatch.setattr(peeling, "draw_noise", failing_draw)
     with pytest.raises(RuntimeError, match="draw failed"):
         reversed_peel(p, 30, NoiseScales(0.3, 0.6), RandomStream(1))

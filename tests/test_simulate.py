@@ -47,6 +47,8 @@ def test_scenario_validation():
         _scn(reps=0)
     with pytest.raises(ValueError):
         _scn(methods=())
+    with pytest.raises(ValueError, match="seed"):
+        _scn(seed=-1)
     with pytest.raises(ValueError):
         _scn(methods=(MethodSpec("bh"), MethodSpec("bh")))
     with pytest.raises(ValueError):

@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suptest.baselines import classic_procedure
 from suptest.numerics import RandomStream
 from suptest.privacy import PrivacyBudget
 from suptest.thresholds import (
+    FAMILIES,
     TestConfig,
     ThresholdFamily,
     resolve_scales,
@@ -94,6 +96,63 @@ def test_step_up_vs_step_down_on_same_family():
     s = np.array([0.3, 0.35, 0.5, 0.7])
     assert select_step(s, fam, 1) == 4
     assert select_step(s, fam, 0) == 0
+
+
+# sorted p-values with exact 0s and 1s and repeats, a family over m >= their
+# count hypotheses, and a level
+_P = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 1e-3, 0.05]), st.floats(0.0, 1.0))
+_ALPHA = st.floats(1e-6, 0.999)
+
+
+@st.composite
+def _step_cases(draw):
+    s = np.sort(np.array(draw(st.lists(_P, max_size=25))))
+    m = s.size + draw(st.integers(0 if s.size else 1, 10))
+    scale = draw(st.sampled_from([1.0, 1.5, 4.0]))
+    fam = ThresholdFamily(draw(st.sampled_from(FAMILIES)), draw(_ALPHA), m, scale)
+    return s, fam
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_step_cases())
+def test_select_step_up_is_largest_hit(case):
+    s, fam = case
+    lam = threshold_values(fam, np.arange(1, s.size + 1))
+    hits = [j for j in range(1, s.size + 1) if s[j - 1] <= lam[j - 1]]
+    assert select_step(s, fam, 1) == max(hits, default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_step_cases())
+def test_select_step_down_stops_at_first_violation(case):
+    s, fam = case
+    lam = threshold_values(fam, np.arange(1, s.size + 1))
+    j_star = 0
+    while j_star < s.size and s[j_star] <= lam[j_star]:
+        j_star += 1
+    assert select_step(s, fam, 0) == j_star
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_step_cases(), other=_ALPHA, zeta=st.sampled_from([0, 1]))
+def test_select_step_nondecreasing_in_alpha(case, other, zeta):
+    s, fam = case
+    lo, hi = sorted((fam.alpha, other))
+    pick = [select_step(s, ThresholdFamily(fam.kind, a, fam.m, fam.pi0_inv_scale), zeta)
+            for a in (lo, hi)]
+    assert pick[0] <= pick[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pvals=st.lists(_P, min_size=1, max_size=30), family=st.sampled_from(FAMILIES),
+       alpha=st.floats(0.01, 0.5))
+def test_zero_noise_sup_test_matches_classic_at_the_clamp(pvals, family, alpha):
+    # exact 0 and 1 are clamped to 1e-15 and 1 - 1e-15 before peeling; no
+    # threshold lies between a value and its clamp, so the rejections match
+    p = np.array(pvals + [0.0, 1.0])
+    cfg = TestConfig(family=family, alpha=alpha, m_peel=p.size, sigma_override=(0.0, 0.0))
+    res = sup_test(p, cfg)
+    assert np.array_equal(res.rejected_indices, classic_procedure(p, family, alpha))
 
 
 def test_sup_test_deterministic_and_reproducible():
