@@ -35,7 +35,6 @@ __all__ = [
     "AdaptiveConfig",
     "resolve_c",
     "e_tau",
-    "storey_pi0",
     "pi0_bar",
     "pi0_inv_bar",
     "gs_pi0",
@@ -94,14 +93,6 @@ def _checked_pvals(pvals) -> np.ndarray:
     return p
 
 
-def storey_pi0(pvals, tau: float) -> float:
-    """Count-based null-fraction estimate #{p > tau} / (m (1-tau))."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0,1)")
-    p = _checked_pvals(pvals)
-    return float(np.count_nonzero(p > tau)) / (p.size * (1.0 - tau))
-
-
 def _excess_sum(p: np.ndarray, tau: float) -> float:
     # sum of Q(p_j) - Q(tau) over p_j > tau; zero at the boundary, so the
     # estimate is continuous in each p_j
@@ -153,15 +144,14 @@ def gs_pi0_inv(gs: float, tau: float, c0: float) -> float:
     return 1.0 / c0 - 1.0 / (c0 + gs / ((1.0 - tau) * e_tau(tau)))
 
 
-def peel_count_m_dagger(
-    pi0_bar_val: float, noise: float, m: int, cfg: AdaptiveConfig, alpha: float = 0.1
-) -> int:
-    """Noisy peeling count ceil((1+c) m (1 - pi0_bar + noise)), clamped to
-    [m_tilde, m]. noise is the realized (already scaled) draw."""
+def peel_count_m_dagger(pi0_val: float, m: int, cfg: AdaptiveConfig,
+                        alpha: float = 0.1) -> int:
+    """Peeling count ceil((1+c) m (1 - pi0_val)), clamped to [m_tilde, m];
+    pi0_val is already private, so the count adds no noise of its own."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     c = resolve_c(cfg, alpha)
-    raw = math.ceil((1.0 + c) * m * (1.0 - pi0_bar_val + noise))
+    raw = math.ceil((1.0 + c) * m * (1.0 - pi0_val))
     return int(min(max(raw, cfg.m_tilde), m))
 
 
@@ -207,7 +197,7 @@ def adaptive_sup_test(
     inv_bar = pi0_inv_bar(p, acfg.tau, acfg.c0)
     p0_hat = pi0_hat(inv_bar, sigma_tau, z, acfg.c0)
 
-    m_star = peel_count_m_dagger(p0_hat, 0.0, p.size, acfg, config.alpha)
+    m_star = peel_count_m_dagger(p0_hat, p.size, acfg, config.alpha)
 
     scales = resolve_scales(replace(config, budget=PrivacyBudget.gdp(mu_peel)), m_star)
     peel = reversed_peel(p, m_star, scales, stream.child(1), "gaussian")

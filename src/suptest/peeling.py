@@ -3,14 +3,16 @@
 Reversed peeling releases the inference values of m_peel hypotheses. In
 peeling round k (k = 1..m_peel) a fresh noise row is drawn from
 stream.child(k), and the surviving index with the smallest noisy p-value
-is peeled, ties toward the smallest index. The inference row, drawn from
-stream.child(0), is only ever read at the peeled indices.
+is peeled. The inference row, drawn from stream.child(0), is only ever
+read at the peeled indices.
 
-No (1 + m_peel) x m matrix is built. The transform is monotone in the key
-Phi^-1(p) + z (see transform.py), so each round takes the first argmin of
-the key over the survivors and drops the row; the inference row is
-transformed at the m_peel peeled indices only. Memory is O(m) and each
-round costs one noise draw plus two passes over the keys.
+No (1 + m_peel) x m matrix is built. The noisy p-value is nondecreasing
+in the key Phi^-1(p) + z (see transform.py), so each round peels the first
+argmin of the key over the survivors, which is report-noisy-min, and
+drops the row; ties go to the smallest index among equal keys. The
+inference row is transformed at the m_peel peeled indices only. Memory is
+O(m) and each round costs one noise draw plus two passes over the keys
+(add, argmin).
 
 Who draws the rows: a noise row costs only its draws. The Philox keys of
 all the rows of a peel are hashed in one RandomStream.child_keys call, and
@@ -30,18 +32,6 @@ already use the cores, draw the rows in the round loop. Every row is
 drawn from the start of its own stream, so the release is the same bytes
 for any number of cores. The pool is shut down before reversed_peel
 returns or raises.
-
-Tie rule: the transform's clip to [1e-300, 1 - 1e-16], and rounding, can
-give distinct keys the same noisy p-value, which the rule above breaks
-toward the smallest index, not toward the smaller key. A round is
-therefore decided by its smallest key only if the noisy p-value of its
-second-smallest surviving key is strictly larger; otherwise the whole
-surviving row is transformed and its first minimiser taken. The rounds
-record their two smallest keys, one transform of all of them afterwards
-finds the rounds that need the rule, and the rounds rerun from the first
-of those. That happens only where the CDF saturates or rounds nearby keys
-together. The result equals peeling the full matrix of noisy p-values
-row by row.
 
 The forward baseline instead adds fresh noise each round, as the classic
 private BH pipeline does.
@@ -126,49 +116,17 @@ def reversed_peel(
 
 def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, stream: RandomStream,
                  noise_kind: str) -> np.ndarray:
-    """Peel order of rounds 1..m_peel, round k keyed by q plus a fresh row
-    of noise from stream.child(k); the tie rule is applied from the first
-    round that needs it (see the module docstring)."""
+    """Peel order of rounds 1..m_peel, round k taking the first argmin over
+    the survivors of q plus a fresh row of noise from stream.child(k)."""
     order = np.empty(m_peel, dtype=np.intp)
-    noisy = key_to_noisy_p(_rounds(q, order, 0, scale, stream, noise_kind, False),
-                           scale, noise_kind)
-    tied = np.flatnonzero(noisy[:, 1] <= noisy[:, 0])
-    if tied.size:
-        _rounds(q, order, int(tied[0]), scale, stream, noise_kind, True)
-    return order
-
-
-def _rounds(q: np.ndarray, order: np.ndarray, start: int, scale: float,
-            stream: RandomStream, noise_kind: str, tie_rule: bool) -> np.ndarray:
-    """Fills order[start:] with the picks of rounds start+1..m_peel, given
-    the picks in order[:start]. Returns the two smallest surviving keys of
-    each of those rounds that has two survivors. With tie_rule, a round
-    whose second-smallest key's noisy p-value is not larger than its
-    smallest key's is decided on its whole transformed surviving row."""
-    m, m_peel = q.size, order.size
     # q with the peeled entries at +inf; each row is added into it in place
     q_alive = q.copy()
-    q_alive[order[:start]] = np.inf
-    pairs = np.empty((min(m_peel, m - 1) - start, 2))
-    with _noise_rows(stream, scale, m, noise_kind, range(start, m_peel)) as rows:
-        for k, key in zip(range(start, m_peel), rows):
+    with _noise_rows(stream, scale, q.size, noise_kind, m_peel) as rows:
+        for k, key in enumerate(rows):
             np.add(q_alive, key, out=key)
-            j = int(np.argmin(key))
-            if k + 1 < m:
-                lo = key[j]
-                key[j] = np.inf
-                pair = pairs[k - start]
-                pair[:] = lo, key.min()
-                key[j] = lo
-                if tie_rule:
-                    p_lo, p_second = key_to_noisy_p(pair, scale, noise_kind)
-                    if p_second <= p_lo:
-                        survivors = np.flatnonzero(q_alive != np.inf)
-                        j = int(survivors[np.argmin(key_to_noisy_p(key[survivors], scale,
-                                                                    noise_kind))])
-            order[k] = j
+            order[k] = j = np.argmin(key)
             q_alive[j] = np.inf
-    return pairs
+    return order
 
 
 def _draw_threads(m: int) -> int:
@@ -186,16 +144,15 @@ def _draw_threads(m: int) -> int:
 
 
 @contextmanager
-def _noise_rows(stream: RandomStream, scale: float, m: int, noise_kind: str, rounds):
-    """Yields the noise rows of the given range of rounds in order, round
-    k's row drawn from the start of stream.child(k + 1), each a new array.
-    The rows' keys are hashed in one call. In one thread, one generator is
-    re-keyed before each row. With more than one draw thread, the upcoming
-    rows are drawn on a thread pool, each on a new generator, as many
-    ahead as there are threads; numpy releases the GIL while it fills a
-    row. The pool is shut down when the block exits, also on an
-    exception."""
-    keys = stream.child_keys(np.arange(rounds.start + 1, rounds.stop + 1))
+def _noise_rows(stream: RandomStream, scale: float, m: int, noise_kind: str, rounds: int):
+    """Yields the noise rows of rounds 1..rounds in order, round k's row
+    drawn from the start of stream.child(k), each a new array. The rows'
+    keys are hashed in one call. In one thread, one generator is re-keyed
+    before each row. With more than one draw thread, the upcoming rows are
+    drawn on a thread pool, each on a new generator, as many ahead as
+    there are threads; numpy releases the GIL while it fills a row. The
+    pool is shut down when the block exits, also on an exception."""
+    keys = stream.child_keys(np.arange(1, rounds + 1))
     threads = _draw_threads(m)
     if threads == 1:
         gen = np.random.Generator(np.random.Philox(key=0))

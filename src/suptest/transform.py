@@ -9,10 +9,8 @@ stays super-uniform.
 The transform is split in two: `draw_noise` draws z, and `key_to_noisy_p`
 maps keys Q(p) + z to noisy p-values. That map is nondecreasing, so a
 caller can rank hypotheses by key and transform only the values it
-releases. Its output is clipped to [1e-300, 1 - 1e-16] to stay strictly
-inside (0,1) where the CDF saturates; the clip, like rounding, can map
-distinct keys to one value, which is why reversed peeling needs a tie
-rule (see peeling.py).
+releases. Its output is clipped to [1e-300, 1 - 1e-16], which keeps
+released values strictly inside (0,1) where the CDF saturates.
 """
 
 from __future__ import annotations

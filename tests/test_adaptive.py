@@ -14,7 +14,6 @@ from suptest.adaptive import (
     pi0_hat,
     pi0_inv_bar,
     resolve_c,
-    storey_pi0,
 )
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.privacy import PrivacyBudget
@@ -35,18 +34,6 @@ def test_e_tau_positive_and_validated():
         e_tau(0.0)
     with pytest.raises(ValueError):
         e_tau(1.0)
-
-
-def test_storey_pi0_counting():
-    assert storey_pi0(np.array([0.6, 0.8]), 0.5) == pytest.approx(2.0)
-    assert storey_pi0(np.array([0.1, 0.2, 0.3]), 0.5) == 0.0
-    with pytest.raises(ValueError):
-        storey_pi0(np.array([]), 0.5)
-
-
-def test_storey_pi0_consistent_on_uniform():
-    u = np.random.default_rng(10).random(100_000)
-    assert abs(storey_pi0(u, 0.5) - 1.0) < 0.02
 
 
 def test_pi0_bar_boundary_cases():
@@ -91,13 +78,13 @@ def test_gs_pi0_inv_golden_and_limits():
 
 def test_peel_count_m_dagger():
     cfg = AdaptiveConfig(m_tilde=100)
-    assert peel_count_m_dagger(1.0, 0.0, 20000, cfg, alpha=0.1) == 100
+    assert peel_count_m_dagger(1.0, 20000, cfg, alpha=0.1) == 100
     # (10/9) * 20000 * 0.01 = 222.2 -> 223
-    assert peel_count_m_dagger(0.99, 0.0, 20000, cfg, alpha=0.1) == 223
-    assert peel_count_m_dagger(-0.5, 0.0, 20000, cfg, alpha=0.1) == 20000
-    assert peel_count_m_dagger(0.0, 2.0, 500, cfg, alpha=0.1) == 500
+    assert peel_count_m_dagger(0.99, 20000, cfg, alpha=0.1) == 223
+    assert peel_count_m_dagger(-0.5, 20000, cfg, alpha=0.1) == 20000
+    assert peel_count_m_dagger(-2.0, 500, cfg, alpha=0.1) == 500
     with pytest.raises(ValueError):
-        peel_count_m_dagger(0.5, 0.0, 0, cfg)
+        peel_count_m_dagger(0.5, 0, cfg)
 
 
 def test_resolve_c():

@@ -73,15 +73,12 @@ def test_reversed_peel_tie_breaks_to_smallest_index(monkeypatch):
     ]
     out = _peel_keys(monkeypatch, rows)
     assert np.array_equal(out.peeled_indices, [0, 1])
-    # distinct keys whose noisy p-values all clip to 1e-300 tie as well:
-    # the smallest index wins, not the smallest key
-    saturated = [[0.0, 0.0, 0.0], [-800.0, -900.0, -1000.0], [-800.0, -900.0, -1000.0]]
-    for kind in ("gaussian", "laplace"):
-        assert np.array_equal(_peel_keys(monkeypatch, saturated, kind).peeled_indices,
-                              [0, 1])
-    # the same keys peel by size once they no longer saturate
-    unsaturated = [[0, 0, 0], [-6, -7, -8], [-6, -7, -8]]
-    assert np.array_equal(_peel_keys(monkeypatch, unsaturated).peeled_indices, [2, 1])
+    # distinct keys peel by size, also where their noisy p-values all clip
+    # to 1e-300
+    for keys in ([-6.0, -7.0, -8.0], [-800.0, -900.0, -1000.0]):
+        for kind in ("gaussian", "laplace"):
+            out = _peel_keys(monkeypatch, [[0.0, 0.0, 0.0], keys, keys], kind)
+            assert np.array_equal(out.peeled_indices, [2, 1])
 
 
 def test_reversed_peel_full_depth():
@@ -124,16 +121,24 @@ def _peel_cases(draw):
     return pvals, m_peel, scales, RandomStream(draw(st.integers(0, 2**32 - 1)))
 
 
+def _assert_equals_dense_oracle(pvals, m_peel, scales, stream, noise_kind):
+    out = reversed_peel(pvals, m_peel, scales, stream, noise_kind)
+    keys, noisy = generate_noisy_matrix(pvals, m_peel, scales, stream, noise_kind)
+    order, inference = dense_reversed_peel(keys, noisy)
+    assert np.array_equal(out.peeled_indices, order)
+    assert np.array_equal(out.inference_pvals, inference)
+    # each round's pick has the smallest noisy p-value among the survivors
+    alive = np.ones(pvals.size, dtype=bool)
+    for k, j in enumerate(order, start=1):
+        assert noisy[k, j] == noisy[k, alive].min()
+        alive[j] = False
+
+
 @pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
 @settings(max_examples=300, deadline=None)
 @given(case=_peel_cases())
 def test_reversed_peel_equals_dense_oracle(noise_kind, case):
-    pvals, m_peel, scales, stream = case
-    out = reversed_peel(pvals, m_peel, scales, stream, noise_kind)
-    order, inference = dense_reversed_peel(
-        generate_noisy_matrix(pvals, m_peel, scales, stream, noise_kind))
-    assert np.array_equal(out.peeled_indices, order)
-    assert np.array_equal(out.inference_pvals, inference)
+    _assert_equals_dense_oracle(*case, noise_kind)
 
 
 @pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
@@ -142,14 +147,10 @@ def test_reversed_peel_equals_dense_oracle(noise_kind, case):
        seed=st.integers(0, 2**32 - 1))
 def test_reversed_peel_ties_near_one_equal_dense_oracle(noise_kind, m, scale, seed):
     # every p-value at 1 with little noise: the keys sit where the CDF is
-    # within a few ulps of 1, so distinct keys often share a noisy p-value
-    # and the tie rule decides the round
-    pvals, scales, stream = np.ones(m), NoiseScales(scale, scale), RandomStream(seed)
-    out = reversed_peel(pvals, m, scales, stream, noise_kind)
-    order, inference = dense_reversed_peel(
-        generate_noisy_matrix(pvals, m, scales, stream, noise_kind))
-    assert np.array_equal(out.peeled_indices, order)
-    assert np.array_equal(out.inference_pvals, inference)
+    # within a few ulps of 1, so distinct keys often share a noisy p-value,
+    # and the rounds still peel by key
+    _assert_equals_dense_oracle(np.ones(m), m, NoiseScales(scale, scale), RandomStream(seed),
+                                noise_kind)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -267,23 +268,13 @@ def test_reversed_peel_same_bytes_for_any_thread_count(monkeypatch, noise_kind):
     _same_for_any_thread_count(monkeypatch, run)
 
 
-def test_reversed_peel_tie_rerun_same_bytes_for_any_thread_count(monkeypatch):
-    # all p = 1 with tiny noise: noisy p-values tie within ulps of 1, so the
-    # rounds rerun under the tie rule, which draws its rows a second time
+def test_reversed_peel_all_p_one_same_bytes_for_any_thread_count(monkeypatch):
+    # all p = 1 with tiny noise: the noisy p-values tie within ulps of 1
     p, scales = np.ones(_M_THREADED), NoiseScales(0.01, 0.01)
-    reruns = []
-    rounds = peeling._rounds
-
-    def counting_rounds(*args):
-        reruns.append(args[-1])
-        return rounds(*args)
 
     def run():
         out = reversed_peel(p, 12, scales, RandomStream(9), "gaussian")
         return _digest(out.peeled_indices, out.inference_pvals)
-    monkeypatch.setattr(peeling, "_rounds", counting_rounds)
-    run()
-    assert reruns == [False, True]
     _same_for_any_thread_count(monkeypatch, run)
 
 

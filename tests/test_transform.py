@@ -100,15 +100,17 @@ def test_noisy_row_gaussian_matches_formula():
 
 
 def test_generate_noisy_matrix_layout():
-    # the dense test oracle: row k is noisy_row on substream k, bit for bit
+    # the dense test oracle: row k is noisy_row on substream k, bit for bit,
+    # and the transform of key row k
     p = np.random.default_rng(1).uniform(size=40)
     scales = NoiseScales(0.1, 0.2)
     s = RandomStream(2)
     for kind in ("gaussian", "laplace"):
-        rows = generate_noisy_matrix(p, 7, scales, s, kind)
-        assert rows.shape == (8, 40)
+        keys, rows = generate_noisy_matrix(p, 7, scales, s, kind)
+        assert keys.shape == rows.shape == (8, 40)
         assert np.array_equal(rows[0], noisy_row(p, 0.1, s.child(0), kind))
         assert np.array_equal(rows[3], noisy_row(p, 0.2, s.child(3), kind))
+        assert np.array_equal(rows[3], key_to_noisy_p(keys[3], 0.2, kind))
         # rows are distinct draws
         assert not np.array_equal(rows[1], rows[2])
 
