@@ -30,6 +30,7 @@ from .thresholds import (
     released_budget,
     resolve_scales,
 )
+from .transform import checked_pvalues
 
 __all__ = [
     "AdaptiveConfig",
@@ -87,7 +88,7 @@ def e_tau(tau: float) -> float:
 
 
 def _checked_pvals(pvals) -> np.ndarray:
-    p = np.asarray(pvals, dtype=float)
+    p = checked_pvalues(pvals)
     if p.size == 0:
         raise ValueError("p-value array is empty")
     return p

@@ -24,6 +24,7 @@ import numpy as np
 
 from .numerics import RandomStream
 from .peeling import forward_peel_baseline
+from .transform import checked_pvalues
 
 __all__ = [
     "DworkParams",
@@ -73,7 +74,7 @@ def classic_procedure(pvals, family: str, alpha: float) -> np.ndarray:
 
     bh / by are step-up, bonf is a plain cutoff, holm is step-down.
     """
-    p = np.asarray(pvals, dtype=float)
+    p = checked_pvalues(pvals)
     fam = family.lower()
     if fam not in ("bh", "by", "bonf", "holm"):
         raise ValueError(f"unknown family {family!r}")
@@ -125,7 +126,7 @@ def dp_bonf_scale(params: DworkParams, m: int) -> float:
 
 
 def _floored_logs(pvals, nu: float) -> np.ndarray:
-    p = np.asarray(pvals, dtype=float)
+    p = checked_pvalues(pvals)
     if p.size == 0:
         raise ValueError("p-value array is empty")
     return np.log(np.maximum(p, nu))

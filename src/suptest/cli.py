@@ -127,8 +127,10 @@ def cmd_run(args) -> int:
 
 
 def _read_text(path: str) -> str:
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8"
+    # exports start with; left in, it would hide an `id,p` header
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}")

@@ -5,26 +5,71 @@ independent Laplace variable, deterministic splittable random streams,
 and the count of cores that parallel work may use. Everything downstream
 (noise calibration, the noisy p-value transform, the simulation engine)
 reduces to these functions.
+
+This is the only module that imports scipy at load time, and it takes
+only four ufuncs: ndtr, ndtri, log_ndtr and erfcx (see _special_ufuncs).
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
     "normal_laplace_cdf",
+    "ndtr",
+    "log_ndtr",
     "RandomStream",
     "rekeyed",
     "usable_cores",
 ]
+
+
+def _special_ufuncs():
+    """scipy.special if it is loaded, else its compiled ufunc module.
+
+    scipy/special/__init__.py also imports the array-API layer
+    (_support_alternative_backends), which loads array_api_compat,
+    numpy.f2py, numpy.testing, unittest and email and takes longer than
+    the rest of `import suptest` together. The four ufuncs live in the
+    extension scipy.special._ufuncs, so it is imported under a bare
+    package module that stands in for scipy.special while the extension
+    and its sibling extensions load. The stand-in is then removed from
+    sys.modules and from the scipy namespace; the extensions stay, so a
+    later `import scipy.special` runs the real package, which reuses them
+    and exposes the very same ufunc objects. While the extension loads, a
+    second thread importing scipy.special would get the stand-in, as
+    module imports take no lock that covers it.
+    """
+    name = "scipy.special"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    stub = types.ModuleType(name)
+    stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+    sys.modules[name] = stub
+    try:
+        return importlib.import_module(name + "._ufuncs")
+    finally:
+        del sys.modules[name]
+        # vars, not hasattr: scipy's module __getattr__ would import the
+        # real scipy.special
+        if vars(scipy).get("special") is stub:
+            del scipy.special
+
+
+_special = _special_ufuncs()
+ndtr, ndtri, log_ndtr, erfcx = _special.ndtr, _special.ndtri, _special.log_ndtr, _special.erfcx
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -37,7 +82,7 @@ def std_normal_cdf(x):
     function, absolute error well below 1e-12 everywhere. Saturates
     smoothly to 0/1 in the extreme tails instead of raising.
     """
-    return special.ndtr(x)
+    return ndtr(x)
 
 
 def std_normal_pdf(x):
@@ -53,12 +98,14 @@ def std_normal_quantile(p):
         p: probability or array of probabilities, each strictly in (0,1).
 
     Raises:
-        ValueError: if any input lies outside the open interval (0,1).
+        ValueError: if any input is NaN or lies outside the open interval
+            (0,1).
     """
     arr = np.asarray(p, dtype=float)
-    if arr.size and (np.any(arr <= 0.0) | np.any(arr >= 1.0)):
+    # a NaN makes min and max NaN, which fails both comparisons
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise ValueError("quantile argument must lie strictly in (0,1)")
-    return special.ndtri(arr)[()]
+    return ndtri(arr)[()]
 
 
 def _exp_phi(x, b):
@@ -74,9 +121,9 @@ def _exp_phi(x, b):
     out = np.empty_like(x)
     hi = t >= 0.0
     xs = x[hi]
-    out[hi] = 0.5 * special.erfcx(t[hi] / _SQRT2) * np.exp(-0.5 * xs * xs)
+    out[hi] = 0.5 * erfcx(t[hi] / _SQRT2) * np.exp(-0.5 * xs * xs)
     xu = x[~hi]
-    out[~hi] = np.exp(0.5 * inv_b * inv_b - xu * inv_b) * special.ndtr(xu - inv_b)
+    out[~hi] = np.exp(0.5 * inv_b * inv_b - xu * inv_b) * ndtr(xu - inv_b)
     return out
 
 
@@ -100,7 +147,7 @@ def normal_laplace_cdf(x, b):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = special.ndtr(arr) - 0.5 * (_exp_phi(arr, b) - _exp_phi(-arr, b))
+    out = ndtr(arr) - 0.5 * (_exp_phi(arr, b) - _exp_phi(-arr, b))
     np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if scalar else out
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import special
+from .numerics import log_ndtr, ndtr
 
 __all__ = [
     "PrivacyBudget",
@@ -85,7 +85,7 @@ def gdp_to_approx_dp_delta(mu: float, eps: float) -> float:
         raise ValueError("mu and eps must be positive")
     a = -eps / mu + mu / 2.0
     b = -eps / mu - mu / 2.0
-    return float(special.ndtr(a) - math.exp(eps + special.log_ndtr(b)))
+    return float(ndtr(a) - math.exp(eps + log_ndtr(b)))
 
 
 def experiment_mu(eps: float, delta: float) -> float:

@@ -24,6 +24,7 @@ from .numerics import RandomStream, normal_laplace_cdf, std_normal_cdf, std_norm
 __all__ = [
     "P_CLAMP",
     "NOISE_KINDS",
+    "checked_pvalues",
     "clamp_pvalues",
     "draw_noise",
     "key_to_noisy_p",
@@ -40,9 +41,25 @@ _ENTRY_LO = 1e-300
 _ENTRY_HI = 1.0 - 1e-16
 
 
+def checked_pvalues(pvals) -> np.ndarray:
+    """pvals as a float array, every value a number in [0, 1]. Every
+    method checks its p-values here, directly or through clamp_pvalues.
+
+    Raises:
+        ValueError: naming the first NaN, infinite or out-of-range value.
+    """
+    p = np.asarray(pvals, dtype=float)
+    # a NaN makes min and max NaN, which fails both comparisons
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        i = int(np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))[0])
+        raise ValueError(f"p-value {float(p.flat[i])!r} at index {i} is not a number in [0, 1]")
+    return p
+
+
 def clamp_pvalues(pvals) -> np.ndarray:
-    """Clamp p-values into [P_CLAMP, 1 - P_CLAMP] as a float array."""
-    return np.clip(np.asarray(pvals, dtype=float), P_CLAMP, 1.0 - P_CLAMP)
+    """Checked p-values (see checked_pvalues) clamped into
+    [P_CLAMP, 1 - P_CLAMP] as a float array."""
+    return np.clip(checked_pvalues(pvals), P_CLAMP, 1.0 - P_CLAMP)
 
 
 def draw_noise(gen: np.random.Generator, scale: float, size: int,

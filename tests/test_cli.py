@@ -62,6 +62,21 @@ def test_run_headerless_single_column(tmp_path, capsys):
     assert [row[3] for row in body] == ["1", "0", "0"]
 
 
+@pytest.mark.parametrize("text, ids", [
+    ("\ufeffid,p\nh1,0.001\nh2,0.5\n", ["h1", "h2"]),
+    ("\ufeffp\n0.001\n0.5\n", ["1", "2"]),
+    ("\ufeff0.001\n0.5\n", ["1", "2"]),
+])
+def test_run_reads_byte_order_mark(tmp_path, capsys, text, ids):
+    # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+    path = tmp_path / "bom.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--input", str(path), "--method", "bh", "--alpha", "0.1"]) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert out[0] == "id,p,noisy_p,rejected"
+    assert out[1:-1] == [f"{ids[0]},0.001,0.001,1", f"{ids[1]},0.5,0.5,0"]
+
+
 def test_run_sup_round_trip(pfile, capsys):
     path, p = pfile
     assert main(["run", "--input", str(path), "--method", "sup-bh",

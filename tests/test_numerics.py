@@ -34,10 +34,12 @@ def test_quantile_round_trip():
     assert abs(std_normal_quantile(0.01) + 2.32634787404) < 1e-10
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1])
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, float("nan")])
 def test_quantile_domain(bad):
     with pytest.raises(ValueError):
         std_normal_quantile(bad)
+    with pytest.raises(ValueError):
+        std_normal_quantile(np.array([0.2, bad, 0.7]))
 
 
 def test_normal_laplace_cdf_values():

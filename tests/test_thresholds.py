@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
 from suptest.baselines import classic_procedure
 from suptest.numerics import RandomStream
-from suptest.privacy import PrivacyBudget
+from suptest.peeling import reversed_peel
+from suptest.privacy import NoiseScales, PrivacyBudget
+from suptest.simulate import METHOD_NAMES, MethodSpec, run_method
 from suptest.thresholds import (
     FAMILIES,
     TestConfig,
@@ -262,3 +265,39 @@ def test_sup_test_memory_is_linear_in_m():
         tracemalloc.stop()
     assert res.peeled.peeled_indices.size == m_peel
     assert peak < 16 * 8 * m
+
+
+_BAD_PVALUES = [float("nan"), float("inf"), -0.1, 1.5]
+_GDP = TestConfig(family="bh", alpha=0.1, budget=PrivacyBudget.gdp(1.0), m_peel=3)
+_RELEASES = {
+    "sup_test": lambda p: sup_test(p, _GDP, RandomStream(1)),
+    "adaptive_sup_test": lambda p: adaptive_sup_test(p, _GDP, AdaptiveConfig(m_tilde=3),
+                                                     RandomStream(1)),
+    "truncated_sup_test": lambda p: truncated_sup_test(p, _GDP, RandomStream(1)),
+    "reversed_peel": lambda p: reversed_peel(p, 3, NoiseScales(0.5, 1.0), RandomStream(1)),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_PVALUES)
+@pytest.mark.parametrize("release", sorted(_RELEASES))
+def test_releases_reject_bad_pvalues(release, bad):
+    # argmin returns a NaN first, so an unchecked NaN would be peeled and
+    # released as an inference value
+    p = [0.5] * 5 + [bad, 1e-9, 1e-8]
+    with pytest.raises(ValueError, match="at index 5 is not a number in"):
+        _RELEASES[release](p)
+
+
+@pytest.mark.parametrize("bad", _BAD_PVALUES)
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_every_method_rejects_bad_pvalues(method, bad):
+    p = np.linspace(1e-6, 0.9, 40)
+    p[7] = bad
+    with pytest.raises(ValueError, match="at index 7 is not a number in"):
+        run_method(MethodSpec(method, options={"m_peel": 5}), p, 0.1, RandomStream(1))
+
+
+def test_exact_zero_and_one_pvalues_are_valid():
+    p = np.array([0.0, 1.0, 0.5, 1e-9])
+    for release in _RELEASES.values():
+        release(p)
