@@ -156,7 +156,8 @@ def peel_count_m_dagger(pi0_val: float, m: int, cfg: AdaptiveConfig,
     return int(min(max(raw, cfg.m_tilde), m))
 
 
-def pi0_hat(pi0_inv_val: float, sigma_tau: float, noise: float, c0: float = 0.5) -> float:
+def pi0_hat(pi0_inv_val: float, sigma_tau: float, noise: float,
+            c0: float = AdaptiveConfig.c0) -> float:
     """Private null-fraction estimate: add sigma_tau-scaled noise to the
     inverse estimate, clamp to [1, 1/c0], invert. Result lies in [c0, 1]."""
     if sigma_tau < 0.0:

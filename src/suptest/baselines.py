@@ -24,6 +24,8 @@ import numpy as np
 
 from .numerics import RandomStream
 from .peeling import forward_peel_baseline
+from .privacy import EXPERIMENT_BUDGET
+from .thresholds import TestConfig
 from .transform import checked_pvalues
 
 __all__ = [
@@ -44,14 +46,15 @@ class DworkParams:
     """Parameters of the log-scale comparators.
 
     laplace_scale = None uses the calibrated default for the variant.
-    nu floors raw p-values before logs are taken.
+    nu floors raw p-values before logs are taken. The budget defaults to
+    the paper's experiment budget and m_peel to that of the private tests.
     """
 
-    eta: float
     nu: float
-    eps: float
-    delta: float
-    m_peel: int
+    eta: float = 1e-4
+    eps: float = EXPERIMENT_BUDGET.eps
+    delta: float = EXPERIMENT_BUDGET.delta
+    m_peel: int = TestConfig.m_peel
     laplace_scale: Optional[float] = None
 
     def __post_init__(self):

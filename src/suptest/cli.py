@@ -14,24 +14,24 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from .numerics import RandomStream
-from .privacy import (
-    calibrate_peeling_scales,
-    experiment_mu,
-    gdp_to_approx_dp_delta,
-)
+from .privacy import PrivacyBudget, calibrate_peeling_scales, gdp_to_approx_dp_delta
 from .simulate import (
+    OPTION_TYPES,
     MethodSpec,
     SimScenario,
     desk_scenario,
     full_scenario,
+    option_value,
     run_method,
     run_replications,
 )
+from .thresholds import TestConfig, budget_as_mu
+from .transform import NOISE_KINDS
 
 __all__ = ["main", "UsageError"]
 
@@ -79,14 +79,15 @@ def _parse_pvalue_csv(text: str):
     return ids, np.asarray(pvals)
 
 
+# the method options `suptest run` takes as flags (--m-peel for m_peel): all
+# but zeta and laplace_scale, which scenario files set
+_RUN_OPTIONS = [key for key in OPTION_TYPES if key not in ("zeta", "laplace_scale")]
+
+
 def _run_options(args) -> dict:
-    opts = {"noise": args.noise, "gs": args.gs, "m_peel": args.m_peel}
-    for key in ("mu", "eps", "delta", "tau", "c0", "rho", "m_tilde", "c",
-                "eta", "nu", "sigma0", "sigma1"):
-        val = getattr(args, key)
-        if val is not None:
-            opts[key] = val
-    return opts
+    """The method options the user set; the others keep their defaults."""
+    return {key: getattr(args, key) for key in _RUN_OPTIONS
+            if getattr(args, key) is not None}
 
 
 def cmd_run(args) -> int:
@@ -159,20 +160,6 @@ def _privacy_parts(release) -> list:
 
 # ---------------------------------------------------------------- simulate
 
-_SCENARIO_INT = ("m", "m1", "block_size", "reps", "seed")
-_SCENARIO_FLOAT = ("theta_signal", "block_rho", "alpha")
-_SCENARIO_STR = ("null_mode", "dependence")
-
-
-def _coerce(val: str):
-    for conv in (int, float):
-        try:
-            return conv(val)
-        except ValueError:
-            pass
-    return val
-
-
 def _parse_scenario_file(text: str) -> SimScenario:
     entries, errors = {}, []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -196,20 +183,25 @@ def _parse_scenario_file(text: str) -> SimScenario:
         if not labels:
             errors.append("'methods' lists no methods")
 
+    scalar_types = get_type_hints(SimScenario)
     kwargs = {}
+    names = {label: label for label in labels}
     options = {label: {} for label in labels}
     for key, val in entries.items():
         if "." in key:
             label, _, opt = key.partition(".")
             if label not in options:
                 errors.append(f"option {key!r} references unlisted method {label!r}")
-                continue
-            options[label][opt] = _coerce(val)
-        elif key in _SCENARIO_INT or key in _SCENARIO_FLOAT or key in _SCENARIO_STR:
-            conv = int if key in _SCENARIO_INT else (
-                float if key in _SCENARIO_FLOAT else str)
+            elif opt == "method":
+                names[label] = val
+            else:
+                try:
+                    options[label][opt] = option_value(opt, val)
+                except ValueError as e:
+                    errors.append(f"method {label!r}: {e}")
+        elif key in scalar_types:
             try:
-                kwargs[key] = conv(val)
+                kwargs[key] = scalar_types[key](val)
             except ValueError:
                 errors.append(f"key {key!r}: cannot parse value {val!r}")
         else:
@@ -217,10 +209,8 @@ def _parse_scenario_file(text: str) -> SimScenario:
 
     specs = []
     for label in labels:
-        opts = dict(options[label])
-        name = str(opts.pop("method", label))
         try:
-            specs.append(MethodSpec(name=name, label=label, options=opts))
+            specs.append(MethodSpec(name=names[label], label=label, options=options[label]))
         except ValueError as e:
             errors.append(f"method {label!r}: {e}")
 
@@ -262,15 +252,15 @@ def cmd_privacy(args) -> int:
     if args.op == "mu-to-delta":
         print(f"delta={gdp_to_approx_dp_delta(args.mu, args.eps):.10g}")
     elif args.op == "eps-to-mu":
-        print(f"mu={experiment_mu(args.eps, args.delta):.10g}")
+        print(f"mu={budget_as_mu(PrivacyBudget.approx_dp(args.eps, args.delta)):.10g}")
     else:  # calibrate
         if args.mu is not None:
-            mu = args.mu
+            budget = PrivacyBudget.gdp(args.mu)
         elif args.eps is not None and args.delta is not None:
-            mu = experiment_mu(args.eps, args.delta)
+            budget = PrivacyBudget.approx_dp(args.eps, args.delta)
         else:
             raise UsageError("calibrate needs --mu, or --eps with --delta")
-        scales = calibrate_peeling_scales(mu, args.gs, args.m_peel)
+        scales = calibrate_peeling_scales(budget_as_mu(budget), args.gs, args.m_peel)
         print(f"sigma0={scales.sigma0:.10g}")
         print(f"sigma1={scales.sigma1:.10g}")
     return 0
@@ -291,22 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", default=None)
     run.add_argument("--method", required=True)
     run.add_argument("--alpha", type=float, default=0.1)
-    run.add_argument("--mu", type=float, default=None)
-    run.add_argument("--eps", type=float, default=None)
-    run.add_argument("--delta", type=float, default=None)
-    run.add_argument("--noise", choices=("gaussian", "laplace"), default="gaussian")
-    run.add_argument("--gs", type=float, default=1e-4)
-    run.add_argument("--m-peel", dest="m_peel", type=int, default=200)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--tau", type=float, default=None)
-    run.add_argument("--c0", type=float, default=None)
-    run.add_argument("--rho", type=float, default=None)
-    run.add_argument("--m-tilde", dest="m_tilde", type=int, default=None)
-    run.add_argument("--c", type=float, default=None)
-    run.add_argument("--eta", type=float, default=None)
-    run.add_argument("--nu", type=float, default=None)
-    run.add_argument("--sigma0", type=float, default=None)
-    run.add_argument("--sigma1", type=float, default=None)
+    for key in _RUN_OPTIONS:
+        run.add_argument("--" + key.replace("_", "-"), type=OPTION_TYPES[key],
+                         choices=NOISE_KINDS if key == "noise" else None)
     run.set_defaults(func=cmd_run)
 
     sim = sub.add_parser("simulate", help="run a simulation scenario")
@@ -331,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--mu", type=float, default=None)
     p3.add_argument("--eps", type=float, default=None)
     p3.add_argument("--delta", type=float, default=None)
-    p3.add_argument("--gs", type=float, default=1e-4)
-    p3.add_argument("--m-peel", dest="m_peel", type=int, default=200)
+    p3.add_argument("--gs", type=float, default=TestConfig.gs)
+    p3.add_argument("--m-peel", dest="m_peel", type=int, default=TestConfig.m_peel)
     for p in (p1, p2, p3):
         p.set_defaults(func=cmd_privacy)
     return parser

@@ -16,6 +16,7 @@ from .numerics import log_ndtr, ndtr
 
 __all__ = [
     "PrivacyBudget",
+    "EXPERIMENT_BUDGET",
     "NoiseScales",
     "gdp_compose",
     "gdp_to_approx_dp_delta",
@@ -54,6 +55,11 @@ class PrivacyBudget:
     @classmethod
     def approx_dp(cls, eps: float, delta: float) -> "PrivacyBudget":
         return cls("approx_dp", eps=float(eps), delta=float(delta))
+
+
+# the (eps, delta) budget of the paper's experiments; a method option
+# budget fills in from it whichever of eps and delta is not set
+EXPERIMENT_BUDGET = PrivacyBudget.approx_dp(0.5, 1e-3)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -20,12 +20,14 @@ from .adaptive import AdaptiveConfig, adaptive_sup_test
 from .baselines import DworkParams, classic_procedure, dp_bh, dp_bonf
 from .numerics import RandomStream, std_normal_cdf, std_normal_quantile, usable_cores
 from .peeling import PeelOutcome
-from .privacy import PrivacyBudget, experiment_mu
-from .thresholds import Release, TestConfig, sup_test, truncated_sup_test
+from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
+from .thresholds import Release, TestConfig, budget_as_mu, sup_test, truncated_sup_test
 
 __all__ = [
     "METHOD_NAMES",
     "METRIC_NAMES",
+    "OPTION_TYPES",
+    "option_value",
     "MethodSpec",
     "SimScenario",
     "LabeledPValues",
@@ -55,10 +57,41 @@ NULL_MODES = ("uniform", "conservative")
 DEPENDENCE_MODES = ("independent", "block")
 
 
+# The options a method may set, with the type each value is converted to.
+# An option not set keeps the default of the field it fills: the budget is
+# gdp(mu), else EXPERIMENT_BUDGET with eps and delta replaced; sigma0 and
+# sigma1 fill TestConfig.sigma_override, noise TestConfig.noise_kind, nu
+# defaults to alpha / (2 m), and every other option fills the field of its
+# name in TestConfig, AdaptiveConfig or DworkParams.
+OPTION_TYPES = {
+    "mu": float, "eps": float, "delta": float, "sigma0": float, "sigma1": float,
+    "zeta": int, "gs": float, "m_peel": int, "noise": str,
+    "tau": float, "c": float, "m_tilde": int, "c0": float, "rho": float,
+    "eta": float, "nu": float, "laplace_scale": float,
+}
+
+
+def option_value(key: str, value):
+    """value converted to the type of option key. A value that is not a
+    string must convert exactly, so m_peel = 20.7 is refused, not cut to
+    20; NaN, equal to nothing, is refused too."""
+    if key not in OPTION_TYPES:
+        raise ValueError(f"unknown option {key!r}")
+    kind = OPTION_TYPES[key]
+    try:
+        converted = kind(value)
+        exact = converted == (converted if isinstance(value, str) else value)
+    except (TypeError, ValueError):
+        exact = False
+    if not exact:
+        raise ValueError(f"option {key!r}: cannot parse {value!r} as {kind.__name__}")
+    return converted
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """A method to run in a scenario: registry name, display label, and
-    per-method option overrides (eps, delta, mu, gs, m_peel, noise, ...)."""
+    per-method options, checked against OPTION_TYPES and converted."""
 
     name: str
     label: Optional[str] = None
@@ -69,6 +102,15 @@ class MethodSpec:
             raise ValueError(f"unknown method {self.name!r}")
         if self.label is None:
             object.__setattr__(self, "label", self.name)
+        options = {key: option_value(key, val) for key, val in self.options.items()}
+        if self.name.startswith("dp-"):
+            # options of the quantile-scale tests that would silently change
+            # nothing in the log-scale comparators
+            for key in ("mu", "sigma0", "sigma1"):
+                if key in options:
+                    raise ValueError(f"option {key!r} does not apply to the dp-* baselines, "
+                                     "which take an (eps, delta) budget")
+        object.__setattr__(self, "options", options)
 
 
 @dataclass(frozen=True)
@@ -148,62 +190,11 @@ def gen_pvalues(scenario: SimScenario, stream: RandomStream) -> LabeledPValues:
     return LabeledPValues(pvals, is_signal)
 
 
-def _budget_from_options(options: dict) -> PrivacyBudget:
-    if "mu" in options:
-        return PrivacyBudget.gdp(float(options["mu"]))
-    eps = float(options.get("eps", 0.5))
-    delta = float(options.get("delta", 1e-3))
-    return PrivacyBudget.approx_dp(eps, delta)
-
-
-def _sup_config(family: str, alpha: float, options: dict) -> TestConfig:
-    sigma_override = None
-    if "sigma0" in options or "sigma1" in options:
-        s0 = float(options.get("sigma0", 0.0))
-        s1 = float(options.get("sigma1", 2.0 * s0))
-        sigma_override = (s0, s1)
-    zeta = int(options["zeta"]) if "zeta" in options else None
-    return TestConfig(
-        family=family,
-        alpha=alpha,
-        budget=_budget_from_options(options),
-        gs=float(options.get("gs", 1e-4)),
-        m_peel=int(options.get("m_peel", 200)),
-        zeta=zeta,
-        noise_kind=str(options.get("noise", "gaussian")),
-        sigma_override=sigma_override,
-    )
-
-
-def _adaptive_config(options: dict) -> AdaptiveConfig:
-    return AdaptiveConfig(
-        tau=float(options.get("tau", 0.5)),
-        c=float(options["c"]) if "c" in options else None,
-        m_tilde=int(options.get("m_tilde", 100)),
-        c0=float(options.get("c0", 0.5)),
-        rho=float(options.get("rho", 0.1)),
-    )
-
-
-# options of the quantile-scale tests that would silently change nothing in
-# the log-scale comparators, which take an (eps, delta) budget only
-_NOT_DWORK = ("mu", "sigma0", "sigma1")
-
-
-def _dwork_params(alpha: float, m: int, options: dict) -> DworkParams:
-    for key in _NOT_DWORK:
-        if key in options:
-            raise ValueError(f"option {key!r} does not apply to the dp-* baselines, "
-                             "which take an (eps, delta) budget")
-    scale = options.get("laplace_scale")
-    return DworkParams(
-        eta=float(options.get("eta", 1e-4)),
-        nu=float(options.get("nu", 0.5 * alpha / m)),
-        eps=float(options.get("eps", 0.5)),
-        delta=float(options.get("delta", 1e-3)),
-        m_peel=int(options.get("m_peel", 200)),
-        laplace_scale=float(scale) if scale is not None else None,
-    )
+def _configured(cls, options: dict, **given):
+    """A cls from given and from the options named like its fields, which
+    win; every other field keeps its dataclass default."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{**given, **{k: v for k, v in options.items() if k in names}})
 
 
 def run_method(spec: MethodSpec, pvals, alpha: float, stream: RandomStream) -> Release:
@@ -214,19 +205,27 @@ def run_method(spec: MethodSpec, pvals, alpha: float, stream: RandomStream) -> R
     if name in ("bh", "by", "bonf", "holm"):
         rejected = classic_procedure(p, name, alpha)
         return Release(PeelOutcome(np.arange(p.size), p), rejected.size, rejected, p.size)
+    if name.startswith("dp-"):
+        params = _configured(DworkParams, opts, nu=0.5 * alpha / p.size)
+        if name == "dp-bh":
+            rejected, m_peel = dp_bh(p, params, alpha, stream), params.m_peel
+        else:
+            rejected, m_peel = dp_bonf(p, params, alpha, stream), p.size
+        nothing = PeelOutcome(np.empty(0, dtype=np.intp), np.empty(0))
+        return Release(nothing, rejected.size, rejected, m_peel,
+                       PrivacyBudget.approx_dp(params.eps, params.delta))
+    given = {"family": name.partition("-")[2], "alpha": alpha,
+             "budget": (PrivacyBudget.gdp(opts["mu"]) if "mu" in opts
+                        else _configured(PrivacyBudget, opts, **vars(EXPERIMENT_BUDGET)))}
+    if "noise" in opts:
+        given["noise_kind"] = opts["noise"]
+    if "sigma0" in opts or "sigma1" in opts:
+        s0 = opts.get("sigma0", 0.0)
+        given["sigma_override"] = (s0, opts.get("sigma1", 2.0 * s0))
+    cfg = _configured(TestConfig, opts, **given)
     if name.startswith("sup-"):
-        return sup_test(p, _sup_config(name[4:], alpha, opts), stream)
-    if name.startswith("asup-"):
-        cfg = _sup_config(name[5:], alpha, opts)
-        return adaptive_sup_test(p, cfg, _adaptive_config(opts), stream)
-    params = _dwork_params(alpha, p.size, opts)
-    if name == "dp-bh":
-        rejected, m_peel = dp_bh(p, params, alpha, stream), params.m_peel
-    else:
-        rejected, m_peel = dp_bonf(p, params, alpha, stream), p.size
-    nothing = PeelOutcome(np.empty(0, dtype=np.intp), np.empty(0))
-    return Release(nothing, rejected.size, rejected, m_peel,
-                   PrivacyBudget.approx_dp(params.eps, params.delta))
+        return sup_test(p, cfg, stream)
+    return adaptive_sup_test(p, cfg, _configured(AdaptiveConfig, opts), stream)
 
 
 def _metrics(rejected: np.ndarray, data: LabeledPValues, tau: float) -> dict:
@@ -279,7 +278,7 @@ def _one_rep(scenario: SimScenario, rep: int) -> list:
     rows = []
     for mi, spec in enumerate(scenario.methods):
         release = run_method(spec, data.pvals, scenario.alpha, root.child(1 + mi))
-        tau = float(spec.options.get("tau", 0.5))
+        tau = spec.options.get("tau", AdaptiveConfig.tau)
         rows.append((spec.label, _metrics(release.rejected_indices, data, tau)))
     return rows
 
@@ -414,13 +413,13 @@ class MixtureScenario:
     omega1: float = 0.1
     alpha: float = 0.2
     signal: float = 2.0
-    gs: float = 1e-4
+    gs: float = TestConfig.gs
     mu: Optional[float] = None
     m_peel: Optional[int] = None
     sigma_override: Optional[tuple] = None
 
     def resolved_mu(self) -> float:
-        return experiment_mu(0.5, 1e-3) if self.mu is None else self.mu
+        return budget_as_mu(EXPERIMENT_BUDGET) if self.mu is None else self.mu
 
     def resolved_m_peel(self) -> int:
         return self.m if self.m_peel is None else self.m_peel

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import warnings
@@ -260,13 +261,22 @@ def test_simulate_label_with_method_override(tmp_path, capsys):
     assert labels == {"fast", "slow"}
 
 
-def test_simulate_scenario_errors_enumerated(tmp_path, capsys):
+def test_simulate_scenario_errors_enumerated(tmp_path, capsys, monkeypatch):
+    def no_study(scenario):
+        raise AssertionError("the study ran with an invalid scenario")
+    monkeypatch.setattr(cli, "run_replications", no_study)
     scen = tmp_path / "scen.cfg"
-    scen.write_text("m=200\nm1=10\nreps=2\nbogus=1\nmethods=bh\nm=300\n")
+    scen.write_text("m=200\nm1=10\nreps=2\nbogus=1\nmethods=bh,a\nm=300\n"
+                    "a.method=sup-bh\na.m_pel=20\na.noize=laplace\na.m_peel=20.7\n"
+                    "bh.gs=abc\n")
     assert main(["simulate", "--scenario", str(scen)]) == 2
     err = capsys.readouterr().err
     assert "unknown key 'bogus'" in err
     assert "duplicate key 'm'" in err
+    assert "\n  method 'a': unknown option 'm_pel'\n" in err
+    assert "\n  method 'a': unknown option 'noize'\n" in err
+    assert "\n  method 'a': option 'm_peel': cannot parse '20.7' as int\n" in err
+    assert "\n  method 'bh': option 'gs': cannot parse 'abc' as float\n" in err
 
 
 def test_simulate_rejects_bad_reps(tmp_path, capsys):
@@ -329,6 +339,34 @@ def test_simulate_replicate_error_exits_2_for_any_worker_count(
         outcomes.append((code,) + tuple(capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == (2, "", "error: m_peel cannot exceed the number of hypotheses\n")
+
+
+def test_run_option_flags_reach_the_method_spec(pfile, capsys, monkeypatch):
+    # every method-option flag of `suptest run` names an option of the
+    # table, and a flag reaches MethodSpec.options exactly when it is set
+    path, _ = pfile
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a.option_strings[0] for a in sub.choices["run"]._actions
+             if a.dest not in ("help", "input", "output", "method", "alpha", "seed")}
+    assert set(flags) <= set(simulate.OPTION_TYPES)
+    seen = []
+
+    def stop(spec, pvals, alpha, stream):
+        seen.append(spec.options)
+        raise cli.UsageError("stopped")
+    monkeypatch.setattr(cli, "run_method", stop)
+    for dest, flag in flags.items():
+        value = "laplace" if dest == "noise" else "3"
+        assert main(["run", "--input", str(path), "--method", "sup-bh", flag, value]) == 2
+        assert seen.pop() == {dest: simulate.option_value(dest, value)}
+    assert main(["run", "--input", str(path), "--method", "sup-bh"]) == 2
+    assert seen == [{}]
+    capsys.readouterr()
+    # the frozen every-option scenario below sets every option of the table
+    set_there = {line.split("=")[0].split(".")[1].strip()
+                 for line in _ALL_OPTIONS_SCENARIO.splitlines() if "." in line.split("=")[0]}
+    assert set_there - {"method"} == set(simulate.OPTION_TYPES)
 
 
 def test_privacy_conversions(capsys):
@@ -424,6 +462,53 @@ _FROZEN_SCENARIO = (
     "methods = " + ", ".join(simulate.METHOD_NAMES) + "\n"
 )
 
+# SHA-256 of the `suptest simulate` CSV of _ALL_OPTIONS_SCENARIO, which sets
+# every method option to a value off its default; dropping any one of its
+# option lines moves the digest. Recorded before the option table replaced
+# the per-method option readers.
+_FROZEN_ALL_OPTIONS = (
+    "8221eae59626b5dd167a31117436907e8671722556835b101296a8af7e19171b")
+
+_ALL_OPTIONS_SCENARIO = """\
+m = 300
+m1 = 30
+reps = 2
+seed = 8
+theta_signal = 3.0
+methods = sup-bh, sup-holm, sup-bh-lap, sup-bonf, asup-bh, dp-bh, dp-bonf
+sup-bh.mu = 0.8
+sup-bh.gs = 0.05
+sup-bh.m_peel = 40
+sup-bh.zeta = 0
+sup-holm.eps = 0.9
+sup-holm.delta = 1e-4
+sup-holm.gs = 0.05
+sup-holm.m_peel = 30
+sup-bh-lap.method = sup-bh
+sup-bh-lap.noise = laplace
+sup-bh-lap.eps = 1.5
+sup-bh-lap.delta = 1e-2
+sup-bh-lap.gs = 0.05
+sup-bh-lap.m_peel = 25
+sup-bonf.sigma0 = 0.5
+sup-bonf.sigma1 = 0.1
+sup-bonf.m_peel = 5
+asup-bh.mu = 1.2
+asup-bh.gs = 0.05
+asup-bh.tau = 0.6
+asup-bh.c = 0.2
+asup-bh.m_tilde = 20
+asup-bh.c0 = 0.4
+asup-bh.rho = 0.2
+dp-bh.eta = 0.05
+dp-bh.nu = 1e-6
+dp-bh.eps = 0.8
+dp-bh.delta = 1e-4
+dp-bh.m_peel = 30
+dp-bonf.eta = 0.02
+dp-bonf.laplace_scale = 0.5
+"""
+
 
 def _frozen_input(path):
     g = np.random.default_rng(2024)
@@ -458,6 +543,15 @@ def test_run_and_simulate_bytes_frozen(tmp_path, capsys):
     assert err == ""
     assert got == _FROZEN_RUN
     assert _sha(out) == _FROZEN_SIMULATE
+
+
+def test_simulate_every_option_bytes_frozen(tmp_path, capsys):
+    scen = tmp_path / "options.cfg"
+    scen.write_text(_ALL_OPTIONS_SCENARIO)
+    assert main(["simulate", "--scenario", str(scen)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha(out) == _FROZEN_ALL_OPTIONS
 
 
 def test_run_and_simulate_close_their_input_files(pfile, tmp_path, capsys):

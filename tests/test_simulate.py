@@ -53,6 +53,16 @@ def test_scenario_validation():
         _scn(methods=(MethodSpec("bh"), MethodSpec("bh")))
     with pytest.raises(ValueError):
         MethodSpec("unknown-method")
+    # options are checked against the option table and converted to its types
+    with pytest.raises(ValueError, match="unknown option 'm_pel'"):
+        MethodSpec("sup-bh", options={"m_pel": 20})
+    with pytest.raises(ValueError, match="option 'm_peel': cannot parse 20.7 as int"):
+        MethodSpec("sup-bh", options={"m_peel": 20.7})
+    with pytest.raises(ValueError, match="option 'gs': cannot parse 'abc' as float"):
+        MethodSpec("sup-bh", options={"gs": "abc"})
+    spec = MethodSpec("sup-bh", options={"m_peel": "20", "gs": 1, "noise": "laplace"})
+    assert spec.options == {"m_peel": 20, "gs": 1.0, "noise": "laplace"}
+    assert type(spec.options["gs"]) is float
 
 
 def test_gen_pvalues_null_uniform():
