@@ -1,8 +1,8 @@
 """Non-private textbook procedures and the log-scale private comparators.
 
-classic_procedure is an independent implementation of BH, BY, Bonferroni
-and Holm on raw p-values; it doubles as the zero-noise reference for the
-private tests and is deliberately not routed through the threshold module.
+classic_procedure runs BH, BY, Bonferroni and Holm on raw p-values as the
+zero-noise case of the private tests: all m values, unchanged, go through
+the same threshold families and step rule (thresholds.reject_peeled).
 
 dp_bh and dp_bonf forward-peel noisy log p-values and compare them against
 log thresholds deflated by a privacy penalty:
@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .numerics import RandomStream
-from .peeling import forward_peel_baseline
+from .peeling import PeelOutcome, forward_peel_baseline
 from .privacy import EXPERIMENT_BUDGET
-from .thresholds import TestConfig
+from .thresholds import DEFAULT_ZETA, TestConfig, ThresholdFamily, reject_peeled
 from .transform import checked_pvalues
 
 __all__ = [
@@ -75,32 +75,14 @@ class DworkParams:
 def classic_procedure(pvals, family: str, alpha: float) -> np.ndarray:
     """Textbook multiple-testing procedure; returns sorted rejected indices.
 
-    bh / by are step-up, bonf is a plain cutoff, holm is step-down.
+    bh / by / bonf are step-up, holm is step-down (thresholds.DEFAULT_ZETA).
     """
     p = checked_pvalues(pvals)
-    fam = family.lower()
-    if fam not in ("bh", "by", "bonf", "holm"):
-        raise ValueError(f"unknown family {family!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    m = p.size
-    if m == 0:
+    if p.size == 0:
         return np.empty(0, dtype=np.intp)
-    if fam == "bonf":
-        return np.flatnonzero(p <= alpha / m).astype(np.intp)
-    order = np.argsort(p, kind="stable")
-    s = p[order]
-    j = np.arange(1, m + 1)
-    if fam in ("bh", "by"):
-        lam = alpha * j / m
-        if fam == "by":
-            lam /= np.sum(1.0 / j)
-        hits = np.flatnonzero(s <= lam)
-        k = hits[-1] + 1 if hits.size else 0
-    else:  # holm
-        bad = np.flatnonzero(s > alpha / (m - j + 1))
-        k = bad[0] if bad.size else m
-    return np.sort(order[:k]).astype(np.intp)
+    peel = PeelOutcome(np.arange(p.size), p)
+    return reject_peeled(peel, ThresholdFamily(family, alpha, p.size),
+                         DEFAULT_ZETA[family]).rejected_indices
 
 
 def dp_bh_penalty(params: DworkParams, alpha: float) -> float:

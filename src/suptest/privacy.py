@@ -38,11 +38,11 @@ class PrivacyBudget:
 
     def __post_init__(self):
         if self.kind == "gdp":
-            if self.mu is None or self.mu <= 0.0:
-                raise ValueError("GDP budget requires mu > 0")
+            if self.mu is None or not 0.0 < self.mu < math.inf:
+                raise ValueError("GDP budget requires a finite mu > 0")
         elif self.kind == "approx_dp":
-            if self.eps is None or self.eps <= 0.0:
-                raise ValueError("approximate-DP budget requires eps > 0")
+            if self.eps is None or not 0.0 < self.eps < math.inf:
+                raise ValueError("approximate-DP budget requires a finite eps > 0")
             if self.delta is None or not 0.0 < self.delta < 1.0:
                 raise ValueError("approximate-DP budget requires delta in (0,1)")
         else:
@@ -87,8 +87,8 @@ def gdp_to_approx_dp_delta(mu: float, eps: float) -> float:
     delta = Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2); the second
     term goes through log Phi so large eps/mu cannot overflow.
     """
-    if mu <= 0.0 or eps <= 0.0:
-        raise ValueError("mu and eps must be positive")
+    if not (0.0 < mu < math.inf and 0.0 < eps < math.inf):
+        raise ValueError("mu and eps must be finite and positive")
     a = -eps / mu + mu / 2.0
     b = -eps / mu - mu / 2.0
     return float(ndtr(a) - math.exp(eps + log_ndtr(b)))
@@ -97,8 +97,8 @@ def gdp_to_approx_dp_delta(mu: float, eps: float) -> float:
 def experiment_mu(eps: float, delta: float) -> float:
     """GDP parameter 4*eps/sqrt(10*ln(1/delta)) used to compare against
     (eps, delta)-DP baselines on an equal footing."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
     return 4.0 * eps / math.sqrt(10.0 * math.log(1.0 / delta))
@@ -107,8 +107,8 @@ def experiment_mu(eps: float, delta: float) -> float:
 def calibrate_peeling_scales(mu: float, gs: float, m_peel: int) -> NoiseScales:
     """Gaussian scales achieving mu-GDP for one inference row plus m_peel
     peeling rows: sigma0 = sqrt(2*m_peel)*gs/mu, sigma1 = 2*sigma0."""
-    if mu <= 0.0 or gs <= 0.0:
-        raise ValueError("mu and gs must be positive")
+    if not (0.0 < mu < math.inf and 0.0 < gs < math.inf):
+        raise ValueError("mu and gs must be finite and positive")
     if m_peel < 1:
         raise ValueError("m_peel must be a positive integer")
     sigma0 = math.sqrt(2.0 * m_peel) * gs / mu
@@ -123,8 +123,8 @@ def calibrate_laplace_scales(eps: float, delta: float, gs: float, m_peel: int) -
     advanced composition. Both scales are configuration defaults, not a
     claim of tightness.
     """
-    if eps <= 0.0 or gs <= 0.0:
-        raise ValueError("eps and gs must be positive")
+    if not (0.0 < eps < math.inf and 0.0 < gs < math.inf):
+        raise ValueError("eps and gs must be finite and positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
     if m_peel < 1:

@@ -74,7 +74,7 @@ OPTION_TYPES = {
 def option_value(key: str, value):
     """value converted to the type of option key. A value that is not a
     string must convert exactly, so m_peel = 20.7 is refused, not cut to
-    20; NaN, equal to nothing, is refused too."""
+    20; a float must be finite, so NaN and +-inf are refused too."""
     if key not in OPTION_TYPES:
         raise ValueError(f"unknown option {key!r}")
     kind = OPTION_TYPES[key]
@@ -83,7 +83,7 @@ def option_value(key: str, value):
         exact = converted == (converted if isinstance(value, str) else value)
     except (TypeError, ValueError):
         exact = False
-    if not exact:
+    if not exact or (kind is float and not math.isfinite(converted)):
         raise ValueError(f"option {key!r}: cannot parse {value!r} as {kind.__name__}")
     return converted
 

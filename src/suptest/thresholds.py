@@ -28,7 +28,6 @@ from .privacy import (
     calibrate_peeling_scales,
     experiment_mu,
 )
-from .transform import noisy_row
 
 __all__ = [
     "FAMILIES",
@@ -247,9 +246,11 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
 def truncated_sup_test(
     pvals, config: TestConfig, stream: Optional[RandomStream] = None
 ) -> Release:
-    """No-peeling variant: only the inference row is generated and all m
-    noisy values enter selection. Analysis tool only; releasing all m
-    values carries no privacy guarantee under the peeling calibration.
+    """No-peeling variant: all m values are peeled with sigma1 = 0, which
+    draws no peeling rows, and all m noisy inference values enter
+    selection. sigma0 is calibrated at config.m_peel as in sup_test.
+    Analysis tool only; releasing all m values carries no privacy
+    guarantee under the peeling calibration.
 
     Row 0 is drawn from stream.child(0) exactly as sup_test does, so a
     shared stream yields a shared inference row. The release carries no
@@ -257,10 +258,9 @@ def truncated_sup_test(
     """
     p = np.asarray(pvals, dtype=float)
     _check_m_peel(config.m_peel, p.size)
-    scales = resolve_scales(config, config.m_peel)
+    scales = NoiseScales(resolve_scales(config, config.m_peel).sigma0, 0.0)
     if stream is None:
         stream = RandomStream(config.seed)
-    row0 = noisy_row(p, scales.sigma0, stream.child(0), config.noise_kind)
+    peel = peeling.reversed_peel(p, p.size, scales, stream, config.noise_kind)
     family = ThresholdFamily(config.family, config.alpha, p.size)
-    peel = peeling.PeelOutcome(np.arange(p.size), row0)
     return reject_peeled(peel, family, config.resolved_zeta())

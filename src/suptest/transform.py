@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .numerics import RandomStream, normal_laplace_cdf, std_normal_cdf, std_normal_quantile
+from .numerics import normal_laplace_cdf, std_normal_cdf
 
 __all__ = [
     "P_CLAMP",
@@ -28,7 +28,6 @@ __all__ = [
     "clamp_pvalues",
     "draw_noise",
     "key_to_noisy_p",
-    "noisy_row",
 ]
 
 # Phi^-1 diverges at 0 and 1; real pipelines do produce exact 0/1 p-values.
@@ -81,18 +80,3 @@ def key_to_noisy_p(keys: np.ndarray, scale: float, noise_kind: str) -> np.ndarra
     else:
         out = normal_laplace_cdf(keys, scale)
     return np.clip(out, _ENTRY_LO, _ENTRY_HI)
-
-
-def noisy_row(pvals, scale: float, stream: RandomStream, noise_kind: str) -> np.ndarray:
-    """One row of noisy p-values with i.i.d. noise drawn from `stream`.
-
-    A zero scale short-circuits to the clamped raw p-values (the zero-noise
-    transform is the identity), drawing nothing from the stream.
-    """
-    if noise_kind not in NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {noise_kind!r}")
-    pc = clamp_pvalues(pvals)
-    if scale == 0.0:
-        return pc
-    keys = std_normal_quantile(pc) + draw_noise(stream.generator(), scale, pc.size, noise_kind)
-    return key_to_noisy_p(keys, scale, noise_kind)

@@ -62,7 +62,7 @@ def test_criterion_01_zero_noise_matches_classic(criterion_log):
 
 
 def test_criterion_02_transformed_nulls_super_uniform(criterion_log):
-    from suptest.transform import noisy_row
+    from suptest.transform import clamp_pvalues, draw_noise, key_to_noisy_p
 
     t0 = time.perf_counter()
     n = 1_000_000
@@ -73,7 +73,8 @@ def test_criterion_02_transformed_nulls_super_uniform(criterion_log):
     for kind in ("gaussian", "laplace"):
         for scale in (0.1, 1.0, 5.0):
             u = RandomStream(20_000 + sid).generator().uniform(size=n)
-            out = noisy_row(u, scale, RandomStream(21_000 + sid), kind)
+            z = draw_noise(RandomStream(21_000 + sid).generator(), scale, n, kind)
+            out = key_to_noisy_p(std_normal_quantile(clamp_pvalues(u)) + z, scale, kind)
             sid += 1
             s = np.sort(out)
             ks = max(np.max(grid - s), np.max(s - (grid - 1 / n)))

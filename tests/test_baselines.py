@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from classic_oracle import classic_procedure as classic_oracle
 from suptest.baselines import (
     DworkParams,
     classic_procedure,
@@ -13,6 +15,7 @@ from suptest.baselines import (
     theorem8_check,
 )
 from suptest.numerics import RandomStream
+from suptest.thresholds import FAMILIES
 
 
 def test_classic_bh_hand_trace():
@@ -69,6 +72,20 @@ def test_classic_validation():
     with pytest.raises(ValueError):
         classic_procedure(np.array([0.5]), "bh", 0.0)
     assert classic_procedure(np.array([]), "bh", 0.1).size == 0
+
+
+# p-values with exact 0s and 1s and repeats
+_P = st.one_of(st.sampled_from([0.0, 1.0, 1e-3, 0.01, 0.05]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pvals=st.lists(_P, min_size=1, max_size=60), family=st.sampled_from(FAMILIES),
+       alpha=st.floats(0.01, 0.5))
+def test_classic_procedure_matches_textbook_oracle(pvals, family, alpha):
+    # classic_procedure selects through select_step; the oracle writes the
+    # textbook thresholds and step rules out on its own
+    p = np.array(pvals)
+    assert np.array_equal(classic_procedure(p, family, alpha), classic_oracle(p, family, alpha))
 
 
 def test_dwork_params_validation():

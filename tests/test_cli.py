@@ -215,6 +215,14 @@ def test_run_rejects_bad_input(tmp_path, capsys):
     assert main(["run", "--input", str(missing), "--method", "bh"]) == 2
     capsys.readouterr()
 
+    # a non-finite option value is refused before anything is released
+    three = tmp_path / "three.csv"
+    three.write_text("id,p\na,0.01\nb,0.2\nc,0.9\n")
+    for value in ("inf", "nan"):
+        assert main(["run", "--input", str(three), "--method", "sup-bh", "--m-peel", "2",
+                     "--gs", value]) == 2
+        assert capsys.readouterr() == ("", f"error: option 'gs': cannot parse {value} as float\n")
+
     # a negative seed fails before the input is read, for every method,
     # also those that draw nothing
     for method in ("bh", "sup-bh", "asup-bh", "dp-bonf"):
@@ -268,7 +276,7 @@ def test_simulate_scenario_errors_enumerated(tmp_path, capsys, monkeypatch):
     scen = tmp_path / "scen.cfg"
     scen.write_text("m=200\nm1=10\nreps=2\nbogus=1\nmethods=bh,a\nm=300\n"
                     "a.method=sup-bh\na.m_pel=20\na.noize=laplace\na.m_peel=20.7\n"
-                    "bh.gs=abc\n")
+                    "bh.gs=abc\na.gs=inf\n")
     assert main(["simulate", "--scenario", str(scen)]) == 2
     err = capsys.readouterr().err
     assert "unknown key 'bogus'" in err
@@ -277,6 +285,7 @@ def test_simulate_scenario_errors_enumerated(tmp_path, capsys, monkeypatch):
     assert "\n  method 'a': unknown option 'noize'\n" in err
     assert "\n  method 'a': option 'm_peel': cannot parse '20.7' as int\n" in err
     assert "\n  method 'bh': option 'gs': cannot parse 'abc' as float\n" in err
+    assert "\n  method 'a': option 'gs': cannot parse 'inf' as float\n" in err
 
 
 def test_simulate_rejects_bad_reps(tmp_path, capsys):
@@ -392,6 +401,19 @@ def test_privacy_calibrate_mu_flag(capsys):
     out = capsys.readouterr().out.strip().split("\n")
     scales = calibrate_peeling_scales(1.0, 1e-4, 200)
     assert out[0] == f"sigma0={scales.sigma0:.10g}"
+
+
+@pytest.mark.parametrize("args", [
+    ["calibrate", "--mu", "nan"],
+    ["calibrate", "--mu", "1", "--gs", "inf"],
+    ["calibrate", "--eps", "inf", "--delta", "1e-3"],
+    ["eps-to-mu", "--eps", "nan", "--delta", "1e-3"],
+    ["mu-to-delta", "--mu", "nan", "--eps", "1"],
+])
+def test_privacy_refuses_non_finite_values(args, capsys):
+    assert main(["privacy", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "finite" in err
 
 
 def test_cli_argparse_errors_exit_2(capsys):

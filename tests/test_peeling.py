@@ -18,7 +18,6 @@ from suptest.numerics import RandomStream, std_normal_cdf
 from suptest.peeling import PeelOutcome, forward_peel_baseline, reversed_peel
 from suptest.privacy import NoiseScales, PrivacyBudget
 from suptest.thresholds import TestConfig, sup_test
-from suptest.transform import noisy_row
 
 
 class _FixedStream:
@@ -86,8 +85,11 @@ def test_reversed_peel_full_depth():
     s = RandomStream(4)
     out = reversed_peel(p, 5, NoiseScales(0.3, 0.6), s, "laplace")
     assert sorted(out.peeled_indices.tolist()) == [0, 1, 2, 3, 4]
-    # inference values come from the row-0 noise at the peeled indices
-    row0 = noisy_row(p, 0.3, s.child(0), "laplace")
+    # inference values come from the row-0 noise at the peeled indices,
+    # which a peel with sigma1 = 0 releases for every index
+    full = reversed_peel(p, 5, NoiseScales(0.3, 0.0), s, "laplace")
+    row0 = np.empty(5)
+    row0[full.peeled_indices] = full.inference_pvals
     assert np.array_equal(out.inference_pvals, row0[out.peeled_indices])
 
 

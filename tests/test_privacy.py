@@ -35,6 +35,31 @@ def test_budget_validation(args):
         PrivacyBudget(**args)
 
 
+# each checked input of a budget, a calibration or a conversion in turn
+_CHECKED = {
+    "gdp mu": lambda x: PrivacyBudget.gdp(x),
+    "approx_dp eps": lambda x: PrivacyBudget.approx_dp(x, 1e-3),
+    "approx_dp delta": lambda x: PrivacyBudget.approx_dp(0.5, x),
+    "peeling mu": lambda x: calibrate_peeling_scales(x, 1e-4, 200),
+    "peeling gs": lambda x: calibrate_peeling_scales(1.0, x, 200),
+    "laplace eps": lambda x: calibrate_laplace_scales(x, 1e-3, 1e-4, 200),
+    "laplace delta": lambda x: calibrate_laplace_scales(0.5, x, 1e-4, 200),
+    "laplace gs": lambda x: calibrate_laplace_scales(0.5, 1e-3, x, 200),
+    "experiment_mu eps": lambda x: experiment_mu(x, 1e-3),
+    "experiment_mu delta": lambda x: experiment_mu(0.5, x),
+    "to_delta mu": lambda x: gdp_to_approx_dp_delta(x, 1.0),
+    "to_delta eps": lambda x: gdp_to_approx_dp_delta(1.0, x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("checked", sorted(_CHECKED))
+def test_non_finite_inputs_are_refused(checked, bad):
+    # NaN fails every comparison, so a check written as x <= 0 would pass it
+    with pytest.raises(ValueError):
+        _CHECKED[checked](bad)
+
+
 def test_gdp_compose():
     assert gdp_compose(3.0, 4.0) == 5.0
     assert gdp_compose(0.3, 0.0) == 0.3

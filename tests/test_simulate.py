@@ -60,6 +60,9 @@ def test_scenario_validation():
         MethodSpec("sup-bh", options={"m_peel": 20.7})
     with pytest.raises(ValueError, match="option 'gs': cannot parse 'abc' as float"):
         MethodSpec("sup-bh", options={"gs": "abc"})
+    for value in (float("inf"), -float("inf"), "inf", float("nan")):
+        with pytest.raises(ValueError, match="option 'gs': cannot parse"):
+            MethodSpec("sup-bh", options={"gs": value})
     spec = MethodSpec("sup-bh", options={"m_peel": "20", "gs": 1, "noise": "laplace"})
     assert spec.options == {"m_peel": 20, "gs": 1.0, "noise": "laplace"}
     assert type(spec.options["gs"]) is float

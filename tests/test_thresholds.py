@@ -1,11 +1,12 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classic_oracle import classic_procedure as classic_oracle
 from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
-from suptest.baselines import classic_procedure
 from suptest.numerics import RandomStream
 from suptest.peeling import reversed_peel
 from suptest.privacy import NoiseScales, PrivacyBudget
@@ -155,7 +156,7 @@ def test_zero_noise_sup_test_matches_classic_at_the_clamp(pvals, family, alpha):
     p = np.array(pvals + [0.0, 1.0])
     cfg = TestConfig(family=family, alpha=alpha, m_peel=p.size, sigma_override=(0.0, 0.0))
     res = sup_test(p, cfg)
-    assert np.array_equal(res.rejected_indices, classic_procedure(p, family, alpha))
+    assert np.array_equal(res.rejected_indices, classic_oracle(p, family, alpha))
 
 
 def test_sup_test_deterministic_and_reproducible():
@@ -195,7 +196,7 @@ def test_zero_noise_override_reproduces_classic():
         cfg = TestConfig(family=family, alpha=0.1, m_peel=200,
                          sigma_override=(0.0, 0.0))
         res = sup_test(p, cfg)
-        ref = classic_procedure(p, family, 0.1)
+        ref = classic_oracle(p, family, 0.1)
         assert np.array_equal(res.rejected_indices, ref), family
 
 
@@ -215,6 +216,33 @@ def test_truncated_shares_inference_row():
     for idx, val in peeled.items():
         assert trunc_vals[idx] == val
     assert set(full.rejected_indices) <= set(trunc.rejected_indices)
+
+
+# SHA-256 of truncated_sup_test's rejected indices and its index -> value
+# map, sorted by index, per (noise, family) on one fixed input with ties
+# and exact 0 and 1. Recorded before the truncated test was routed through
+# reversed_peel; the bytes are promised per numpy/scipy version.
+_FROZEN_TRUNCATED = "ee3be0d2e564d1bac52fa9a929d015417c2abe75857e81f7b4d4bd248d803f54"
+
+
+def test_truncated_sup_test_bytes_frozen():
+    g = np.random.default_rng(2026)
+    p = g.uniform(size=300)
+    p[:20] *= 1e-4
+    p[40:44] = p[44]
+    p[50], p[51] = 0.0, 1.0
+    h = hashlib.sha256()
+    for kind, budget in (("gaussian", PrivacyBudget.gdp(0.8)),
+                         ("laplace", PrivacyBudget.approx_dp(1.0, 1e-3))):
+        for family in ("bh", "holm"):
+            cfg = TestConfig(family=family, alpha=0.1, budget=budget, gs=0.01,
+                             m_peel=40, noise_kind=kind)
+            res = truncated_sup_test(p, cfg, RandomStream(5))
+            assert res.j_star > 0
+            values = sorted(zip(res.peeled.peeled_indices.tolist(),
+                                map(repr, res.peeled.inference_pvals.tolist())))
+            h.update(repr((res.rejected_indices.tolist(), values)).encode())
+    assert h.hexdigest() == _FROZEN_TRUNCATED
 
 
 def test_zeta_override_changes_rule():

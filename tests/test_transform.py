@@ -8,14 +8,19 @@ from suptest.privacy import NoiseScales
 from suptest.transform import (
     P_CLAMP,
     clamp_pvalues,
+    draw_noise,
     key_to_noisy_p,
-    noisy_row,
 )
 
 
 def _noisy_p(p, scale, z, kind):
     # the released transform: clamp, probit, add the noise, map back
     return key_to_noisy_p(std_normal_quantile(clamp_pvalues(p)) + z, scale, kind)
+
+
+def _drawn_row(p, scale, stream, kind):
+    # one row of noisy p-values, its noise drawn from the start of stream
+    return _noisy_p(p, scale, draw_noise(stream.generator(), scale, len(p), kind), kind)
 
 
 def test_clamp_pvalues():
@@ -41,7 +46,7 @@ def test_noisy_p_gaussian_monotone_in_z():
 
 def test_noisy_p_gaussian_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        noisy_row(np.array([0.5]), -1.0, RandomStream(0), "gaussian")
+        draw_noise(RandomStream(0).generator(), -1.0, 1, "gaussian")
 
 
 def test_noisy_p_laplace_values():
@@ -80,27 +85,34 @@ def test_super_uniformity_preserved_for_conservative_input():
 
 
 def test_noisy_row_deterministic_and_zero_scale():
+    # with sigma1 = 0 all values are peeled in stable sort order, and the
+    # inference row is the row drawn from stream.child(0)
     p = np.random.default_rng(0).uniform(size=100)
+    p[[3, 4]] = p[5]
+    order = np.argsort(p, kind="stable")
     s = RandomStream(5)
-    a = noisy_row(p, 0.3, s, "gaussian")
-    b = noisy_row(p, 0.3, s, "gaussian")
-    assert np.array_equal(a, b)
-    assert np.array_equal(noisy_row(p, 0.0, s, "gaussian"), clamp_pvalues(p))
+    a = reversed_peel(p, 100, NoiseScales(0.3, 0.0), s)
+    b = reversed_peel(p, 100, NoiseScales(0.3, 0.0), s)
+    assert np.array_equal(a.peeled_indices, order)
+    assert np.array_equal(a.inference_pvals, b.inference_pvals)
+    assert np.array_equal(a.inference_pvals, _drawn_row(p, 0.3, s.child(0), "gaussian")[order])
+    zero = reversed_peel(p, 100, NoiseScales(0.0, 0.0), s)
+    assert np.array_equal(zero.inference_pvals, clamp_pvalues(p)[order])
     with pytest.raises(ValueError):
-        noisy_row(p, 0.3, s, "cauchy")
+        reversed_peel(p, 100, NoiseScales(0.3, 0.0), s, "cauchy")
 
 
 def test_noisy_row_gaussian_matches_formula():
     p = np.array([0.01, 0.2, 0.77])
     s = RandomStream(9)
-    row = noisy_row(p, 0.5, s, "gaussian")
+    row = _drawn_row(p, 0.5, s, "gaussian")
     z = s.generator().normal(0.0, 0.5, 3)
     expect = std_normal_cdf((std_normal_quantile(p) + z) / np.sqrt(1.25))
     assert np.allclose(row, expect, rtol=1e-15)
 
 
 def test_generate_noisy_matrix_layout():
-    # the dense test oracle: row k is noisy_row on substream k, bit for bit,
+    # the dense test oracle: row k is the row drawn from substream k, bit for bit,
     # and the transform of key row k
     p = np.random.default_rng(1).uniform(size=40)
     scales = NoiseScales(0.1, 0.2)
@@ -108,20 +120,20 @@ def test_generate_noisy_matrix_layout():
     for kind in ("gaussian", "laplace"):
         keys, rows = generate_noisy_matrix(p, 7, scales, s, kind)
         assert keys.shape == rows.shape == (8, 40)
-        assert np.array_equal(rows[0], noisy_row(p, 0.1, s.child(0), kind))
-        assert np.array_equal(rows[3], noisy_row(p, 0.2, s.child(3), kind))
+        assert np.array_equal(rows[0], _drawn_row(p, 0.1, s.child(0), kind))
+        assert np.array_equal(rows[3], _drawn_row(p, 0.2, s.child(3), kind))
         assert np.array_equal(rows[3], key_to_noisy_p(keys[3], 0.2, kind))
         # rows are distinct draws
         assert not np.array_equal(rows[1], rows[2])
 
 
 def test_matrix_entries_strictly_inside_unit_interval():
-    # every row of the peeling matrix is a noisy_row; released values too
+    # every noisy row lies strictly inside (0, 1); released values too
     p = np.array([0.0, 1.0, 1e-300, 0.5])
     s = RandomStream(8)
     for kind in ("gaussian", "laplace"):
         for k, scale in enumerate((5.0, 10.0, 10.0, 10.0)):
-            row = noisy_row(p, scale, s.child(k), kind)
+            row = _drawn_row(p, scale, s.child(k), kind)
             assert np.all(row > 0.0) and np.all(row < 1.0)
         out = reversed_peel(p, 4, NoiseScales(5.0, 10.0), s, kind)
         assert np.all(out.inference_pvals > 0.0) and np.all(out.inference_pvals < 1.0)
