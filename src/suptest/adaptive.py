@@ -62,8 +62,8 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0,1)")
-        if self.c is not None and self.c < 0.0:
-            raise ValueError("c must be >= 0")
+        if self.c is not None and not 0.0 <= self.c < math.inf:
+            raise ValueError("c must be finite and >= 0")
         if self.m_tilde < 1:
             raise ValueError("m_tilde must be a positive integer")
         if not 0.0 < self.c0 < 1.0:
@@ -115,8 +115,6 @@ def pi0_bar(pvals, tau: float) -> float:
 def pi0_inv_bar(pvals, tau: float, c0: float) -> float:
     """Floored inverse estimate m(1-tau)E_tau / max{excess sum, c0 m(1-tau)E_tau},
     always in (0, 1/c0]."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0,1)")
     if not 0.0 < c0 < 1.0:
         raise ValueError("c0 must lie in (0,1)")
     p = _checked_pvals(pvals)

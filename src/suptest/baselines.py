@@ -45,12 +45,12 @@ __all__ = [
 class DworkParams:
     """Parameters of the log-scale comparators.
 
-    laplace_scale = None uses the calibrated default for the variant.
-    nu floors raw p-values before logs are taken. The budget defaults to
-    the paper's experiment budget and m_peel to that of the private tests.
+    laplace_scale = None uses the calibrated default for the variant, and
+    nu = None floors raw p-values at alpha / (2 m) before logs are taken.
+    The budget defaults to EXPERIMENT_BUDGET and m_peel to TestConfig's.
     """
 
-    nu: float
+    nu: Optional[float] = None
     eta: float = 1e-4
     eps: float = EXPERIMENT_BUDGET.eps
     delta: float = EXPERIMENT_BUDGET.delta
@@ -58,18 +58,18 @@ class DworkParams:
     laplace_scale: Optional[float] = None
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if not 0.0 < self.nu < 1.0:
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and positive")
+        if self.nu is not None and not 0.0 < self.nu < 1.0:
             raise ValueError("nu must lie in (0,1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0,1)")
         if self.m_peel < 1:
             raise ValueError("m_peel must be a positive integer")
-        if self.laplace_scale is not None and self.laplace_scale < 0.0:
-            raise ValueError("laplace_scale must be nonnegative")
+        if self.laplace_scale is not None and not 0.0 <= self.laplace_scale < math.inf:
+            raise ValueError("laplace_scale must be finite and nonnegative")
 
 
 def classic_procedure(pvals, family: str, alpha: float) -> np.ndarray:
@@ -110,10 +110,11 @@ def dp_bonf_scale(params: DworkParams, m: int) -> float:
     ) / (2.0 * params.eps)
 
 
-def _floored_logs(pvals, nu: float) -> np.ndarray:
+def _floored_logs(pvals, params: DworkParams, alpha: float) -> np.ndarray:
     p = checked_pvalues(pvals)
     if p.size == 0:
         raise ValueError("p-value array is empty")
+    nu = 0.5 * alpha / p.size if params.nu is None else params.nu
     return np.log(np.maximum(p, nu))
 
 
@@ -129,7 +130,7 @@ def dp_bh(
 
     Returns sorted rejected indices. penalty overrides the calibrated
     value (used by reduction checks)."""
-    logs = _floored_logs(pvals, params.nu)
+    logs = _floored_logs(pvals, params, alpha)
     m = logs.size
     if params.m_peel > m:
         raise ValueError("m_peel cannot exceed the number of hypotheses")
@@ -155,7 +156,7 @@ def dp_bonf(
 ) -> np.ndarray:
     """Private Bonferroni comparator: m forward-peeling rounds, constant
     threshold log(alpha / m) minus the penalty. Returns sorted indices."""
-    logs = _floored_logs(pvals, params.nu)
+    logs = _floored_logs(pvals, params, alpha)
     m = logs.size
     scale = params.laplace_scale
     if scale is None:

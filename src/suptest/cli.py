@@ -31,7 +31,6 @@ from .simulate import (
     run_replications,
 )
 from .thresholds import TestConfig, budget_as_mu
-from .transform import NOISE_KINDS
 
 __all__ = ["main", "UsageError"]
 
@@ -283,8 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alpha", type=float, default=0.1)
     run.add_argument("--seed", type=int, default=0)
     for key in _RUN_OPTIONS:
-        run.add_argument("--" + key.replace("_", "-"), type=OPTION_TYPES[key],
-                         choices=NOISE_KINDS if key == "noise" else None)
+        run.add_argument("--" + key.replace("_", "-"), type=OPTION_TYPES[key])
     run.set_defaults(func=cmd_run)
 
     sim = sub.add_parser("simulate", help="run a simulation scenario")

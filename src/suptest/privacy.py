@@ -70,14 +70,14 @@ class NoiseScales:
     sigma1: float
 
     def __post_init__(self):
-        if self.sigma0 < 0.0 or self.sigma1 < 0.0:
-            raise ValueError("noise scales must be nonnegative")
+        if not (0.0 <= self.sigma0 < math.inf and 0.0 <= self.sigma1 < math.inf):
+            raise ValueError("noise scales must be finite and nonnegative")
 
 
 def gdp_compose(mu1: float, mu2: float) -> float:
     """Budget of the composition of a mu1-GDP and a mu2-GDP mechanism."""
-    if mu1 < 0.0 or mu2 < 0.0:
-        raise ValueError("GDP parameters must be nonnegative")
+    if not (0.0 <= mu1 < math.inf and 0.0 <= mu2 < math.inf):
+        raise ValueError("GDP parameters must be finite and nonnegative")
     return math.hypot(mu1, mu2)
 
 
@@ -139,8 +139,8 @@ def split_budget(mu: float, rho: float) -> tuple:
     Returns (mu*sqrt(rho), mu*sqrt(1-rho)); the two parts compose back to
     mu exactly. rho is the squared-budget fraction spent on estimation.
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be finite and positive")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie strictly in (0,1)")
     return (mu * math.sqrt(rho), mu * math.sqrt(1.0 - rho))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,8 @@ from .baselines import DworkParams, classic_procedure, dp_bh, dp_bonf
 from .numerics import RandomStream, std_normal_cdf, std_normal_quantile, usable_cores
 from .peeling import PeelOutcome
 from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
-from .thresholds import Release, TestConfig, budget_as_mu, sup_test, truncated_sup_test
+from .thresholds import (Release, TestConfig, budget_as_mu, resolve_scales, sup_test,
+                         truncated_sup_test)
 
 __all__ = [
     "METHOD_NAMES",
@@ -58,11 +59,10 @@ DEPENDENCE_MODES = ("independent", "block")
 
 
 # The options a method may set, with the type each value is converted to.
-# An option not set keeps the default of the field it fills: the budget is
-# gdp(mu), else EXPERIMENT_BUDGET with eps and delta replaced; sigma0 and
-# sigma1 fill TestConfig.sigma_override, noise TestConfig.noise_kind, nu
-# defaults to alpha / (2 m), and every other option fills the field of its
-# name in TestConfig, AdaptiveConfig or DworkParams.
+# Each fills a field of a config MethodSpec builds, which checks it: mu the
+# budget gdp(mu), else eps and delta those of EXPERIMENT_BUDGET; sigma0 and
+# sigma1 TestConfig.sigma_override; noise TestConfig.noise_kind; any other
+# option the field of its name. An option not set keeps the field's default.
 OPTION_TYPES = {
     "mu": float, "eps": float, "delta": float, "sigma0": float, "sigma1": float,
     "zeta": int, "gs": float, "m_peel": int, "noise": str,
@@ -88,14 +88,24 @@ def option_value(key: str, value):
     return converted
 
 
+def _configured(cls, options: dict, **given):
+    """A cls from given and from the options named like its fields, which
+    win; every other field keeps its dataclass default."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{**given, **{k: v for k, v in options.items() if k in names}})
+
+
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method to run in a scenario: registry name, display label, and
-    per-method options, checked against OPTION_TYPES and converted."""
+    """A method to run in a scenario: registry name, display label, options
+    (see OPTION_TYPES) and the configs they fill, built and checked here."""
 
     name: str
     label: Optional[str] = None
     options: dict = field(default_factory=dict)
+    config: TestConfig = field(init=False, repr=False, compare=False)
+    adaptive: AdaptiveConfig = field(init=False, repr=False, compare=False)
+    dwork: DworkParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
@@ -111,6 +121,20 @@ class MethodSpec:
                     raise ValueError(f"option {key!r} does not apply to the dp-* baselines, "
                                      "which take an (eps, delta) budget")
         object.__setattr__(self, "options", options)
+        budget = (PrivacyBudget.gdp(options["mu"]) if "mu" in options
+                  else _configured(PrivacyBudget, options, **vars(EXPERIMENT_BUDGET)))
+        given = {"family": self.name.rpartition("-")[2], "budget": budget,
+                 "noise_kind": options.get("noise", TestConfig.noise_kind)}
+        if "sigma0" in options or "sigma1" in options:
+            s0 = options.get("sigma0", 0.0)
+            given["sigma_override"] = (s0, options.get("sigma1", 2.0 * s0))
+        config = _configured(TestConfig, options, **given)
+        if self.name.startswith("asup-") and config.noise_kind != "gaussian":
+            raise ValueError("adaptive test supports gaussian noise only")
+        resolve_scales(config, config.m_peel)  # refuses laplace noise with a mu budget
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "adaptive", _configured(AdaptiveConfig, options))
+        object.__setattr__(self, "dwork", _configured(DworkParams, options))
 
 
 @dataclass(frozen=True)
@@ -132,6 +156,8 @@ class SimScenario:
             raise ValueError("m must be a positive integer")
         if not 0 <= self.m1 <= self.m:
             raise ValueError("m1 must lie in [0, m]")
+        if not math.isfinite(self.theta_signal):
+            raise ValueError("theta_signal must be finite")
         if self.null_mode not in NULL_MODES:
             raise ValueError(f"unknown null_mode {self.null_mode!r}")
         if self.dependence not in DEPENDENCE_MODES:
@@ -190,42 +216,26 @@ def gen_pvalues(scenario: SimScenario, stream: RandomStream) -> LabeledPValues:
     return LabeledPValues(pvals, is_signal)
 
 
-def _configured(cls, options: dict, **given):
-    """A cls from given and from the options named like its fields, which
-    win; every other field keeps its dataclass default."""
-    names = {f.name for f in fields(cls)}
-    return cls(**{**given, **{k: v for k, v in options.items() if k in names}})
-
-
 def run_method(spec: MethodSpec, pvals, alpha: float, stream: RandomStream) -> Release:
     """Run one registered method; the only place a method name is mapped
     to a procedure, for the simulator and `suptest run` alike."""
-    name, opts = spec.name, spec.options
+    name = spec.name
     p = np.asarray(pvals, dtype=float)
     if name in ("bh", "by", "bonf", "holm"):
         rejected = classic_procedure(p, name, alpha)
         return Release(PeelOutcome(np.arange(p.size), p), rejected.size, rejected, p.size)
     if name.startswith("dp-"):
-        params = _configured(DworkParams, opts, nu=0.5 * alpha / p.size)
         if name == "dp-bh":
-            rejected, m_peel = dp_bh(p, params, alpha, stream), params.m_peel
+            rejected, m_peel = dp_bh(p, spec.dwork, alpha, stream), spec.dwork.m_peel
         else:
-            rejected, m_peel = dp_bonf(p, params, alpha, stream), p.size
+            rejected, m_peel = dp_bonf(p, spec.dwork, alpha, stream), p.size
         nothing = PeelOutcome(np.empty(0, dtype=np.intp), np.empty(0))
         return Release(nothing, rejected.size, rejected, m_peel,
-                       PrivacyBudget.approx_dp(params.eps, params.delta))
-    given = {"family": name.partition("-")[2], "alpha": alpha,
-             "budget": (PrivacyBudget.gdp(opts["mu"]) if "mu" in opts
-                        else _configured(PrivacyBudget, opts, **vars(EXPERIMENT_BUDGET)))}
-    if "noise" in opts:
-        given["noise_kind"] = opts["noise"]
-    if "sigma0" in opts or "sigma1" in opts:
-        s0 = opts.get("sigma0", 0.0)
-        given["sigma_override"] = (s0, opts.get("sigma1", 2.0 * s0))
-    cfg = _configured(TestConfig, opts, **given)
+                       PrivacyBudget.approx_dp(spec.dwork.eps, spec.dwork.delta))
+    cfg = replace(spec.config, alpha=alpha)
     if name.startswith("sup-"):
         return sup_test(p, cfg, stream)
-    return adaptive_sup_test(p, cfg, _configured(AdaptiveConfig, opts), stream)
+    return adaptive_sup_test(p, cfg, spec.adaptive, stream)
 
 
 def _metrics(rejected: np.ndarray, data: LabeledPValues, tau: float) -> dict:
@@ -278,8 +288,7 @@ def _one_rep(scenario: SimScenario, rep: int) -> list:
     rows = []
     for mi, spec in enumerate(scenario.methods):
         release = run_method(spec, data.pvals, scenario.alpha, root.child(1 + mi))
-        tau = spec.options.get("tau", AdaptiveConfig.tau)
-        rows.append((spec.label, _metrics(release.rejected_indices, data, tau)))
+        rows.append((spec.label, _metrics(release.rejected_indices, data, spec.adaptive.tau)))
     return rows
 
 

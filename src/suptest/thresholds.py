@@ -14,6 +14,7 @@ variants set it to 1/pi0_hat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +29,7 @@ from .privacy import (
     calibrate_peeling_scales,
     experiment_mu,
 )
+from .transform import NOISE_KINDS
 
 __all__ = [
     "FAMILIES",
@@ -88,6 +90,24 @@ class TestConfig:
     noise_kind: str = "gaussian"
     seed: int = 0
     sigma_override: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown threshold family {self.family!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0,1)")
+        if not 0.0 < self.gs < math.inf:
+            raise ValueError("gs must be finite and positive")
+        if self.m_peel < 1:
+            raise ValueError("m_peel must be a positive integer")
+        if self.zeta not in (None, 0, 1):
+            raise ValueError("zeta must be 0 or 1")
+        if self.noise_kind not in NOISE_KINDS:
+            raise ValueError(f"noise must be gaussian or laplace, not {self.noise_kind!r}")
+        if self.sigma_override is not None:
+            s0, s1 = self.sigma_override
+            if not (0.0 <= s0 < math.inf and 0.0 <= s1 < math.inf):
+                raise ValueError("sigma0 and sigma1 must be finite and nonnegative")
 
     def resolved_zeta(self) -> int:
         return DEFAULT_ZETA[self.family] if self.zeta is None else self.zeta
@@ -213,8 +233,6 @@ def resolve_scales(config: TestConfig, m_peel: int) -> NoiseScales:
 
 
 def _check_m_peel(m_peel: int, m: int):
-    if m_peel < 1:
-        raise ValueError("m_peel must be a positive integer")
     if m_peel > m:
         raise ValueError("m_peel cannot exceed the number of hypotheses")
 

@@ -97,6 +97,24 @@ def test_dwork_params_validation():
         DworkParams(eta=1e-4, nu=0.1, eps=0.5, delta=1e-3, m_peel=0)
 
 
+# each checked field of DworkParams in turn
+_DWORK_CHECKED = {
+    "eta": lambda x: DworkParams(eta=x),
+    "nu": lambda x: DworkParams(nu=x),
+    "eps": lambda x: DworkParams(eps=x),
+    "delta": lambda x: DworkParams(delta=x),
+    "laplace_scale": lambda x: DworkParams(laplace_scale=x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("checked", sorted(_DWORK_CHECKED))
+def test_dwork_params_refuse_non_finite_values(checked, bad):
+    # NaN fails every comparison, so a check written as x <= 0 would pass it
+    with pytest.raises(ValueError, match=checked):
+        _DWORK_CHECKED[checked](bad)
+
+
 def test_dp_penalty_golden_values():
     params = DworkParams(eta=1e-4, nu=1e-5, eps=0.5, delta=1e-3, m_peel=200)
     # direct arithmetic: eta*sqrt(10*200*ln(1000)*ln(12000))/eps

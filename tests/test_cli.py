@@ -288,6 +288,46 @@ def test_simulate_scenario_errors_enumerated(tmp_path, capsys, monkeypatch):
     assert "\n  method 'a': option 'gs': cannot parse 'inf' as float\n" in err
 
 
+@pytest.mark.parametrize("lines,label,key", [
+    ("sup-bh.noise = foo", "sup-bh", "noise"),
+    ("sup-bh.gs = -1", "sup-bh", "gs"),
+    ("sup-bh.tau = 2", "sup-bh", "tau"),
+    ("asup-bh.noise = laplace", "asup-bh", "noise"),
+    ("sup-bh.noise = laplace\nsup-bh.mu = 1", "sup-bh", "noise"),
+])
+def test_simulate_refuses_bad_option_values_before_the_study(
+        tmp_path, capsys, monkeypatch, lines, label, key):
+    def no_study(scenario):
+        raise AssertionError("the study ran with an invalid option value")
+    monkeypatch.setattr(cli, "run_replications", no_study)
+    scen = tmp_path / "scen.cfg"
+    scen.write_text(f"m=200\nm1=10\nreps=2\nmethods=bh,sup-bh,asup-bh\n{lines}\n")
+    assert main(["simulate", "--scenario", str(scen)]) == 2
+    err = capsys.readouterr().err
+    assert f"method '{label}': " in err and key in err
+
+
+def test_simulate_refuses_non_finite_theta_signal(tmp_path, capsys, monkeypatch):
+    def no_study(scenario):
+        raise AssertionError("the study ran with theta_signal = nan")
+    monkeypatch.setattr(cli, "run_replications", no_study)
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("m=200\nm1=10\nreps=2\ntheta_signal=nan\nmethods=bh\n")
+    assert main(["simulate", "--scenario", str(scen)]) == 2
+    assert capsys.readouterr().err == "error: invalid scenario: theta_signal must be finite\n"
+
+
+def test_run_refuses_bad_option_values_before_reading_the_input(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    for flags, key in ((["--method", "sup-bh", "--tau", "2"], "tau"),
+                       (["--method", "bh", "--eps", "-3"], "eps"),
+                       (["--method", "sup-bh", "--gs", "-1"], "gs"),
+                       (["--method", "sup-bh", "--noise", "foo"], "noise")):
+        assert main(["run", "--input", str(missing)] + flags) == 2
+        err = capsys.readouterr().err
+        assert key in err and "cannot read" not in err
+
+
 def test_simulate_rejects_bad_reps(tmp_path, capsys):
     scen = tmp_path / "scen.cfg"
     scen.write_text("m=200\nm1=10\nreps=0\nmethods=bh\n")
@@ -366,7 +406,9 @@ def test_run_option_flags_reach_the_method_spec(pfile, capsys, monkeypatch):
         raise cli.UsageError("stopped")
     monkeypatch.setattr(cli, "run_method", stop)
     for dest, flag in flags.items():
-        value = "laplace" if dest == "noise" else "3"
+        # 3 is out of range for the options that lie in (0, 1)
+        value = {"noise": "laplace", "delta": "0.3", "tau": "0.3", "c0": "0.3", "rho": "0.3",
+                 "nu": "0.3"}.get(dest, "3")
         assert main(["run", "--input", str(path), "--method", "sup-bh", flag, value]) == 2
         assert seen.pop() == {dest: simulate.option_value(dest, value)}
     assert main(["run", "--input", str(path), "--method", "sup-bh"]) == 2

@@ -49,6 +49,12 @@ _CHECKED = {
     "experiment_mu delta": lambda x: experiment_mu(0.5, x),
     "to_delta mu": lambda x: gdp_to_approx_dp_delta(x, 1.0),
     "to_delta eps": lambda x: gdp_to_approx_dp_delta(1.0, x),
+    "scales sigma0": lambda x: NoiseScales(x, 1.0),
+    "scales sigma1": lambda x: NoiseScales(1.0, x),
+    "compose mu1": lambda x: gdp_compose(x, 1.0),
+    "compose mu2": lambda x: gdp_compose(1.0, x),
+    "split mu": lambda x: split_budget(x, 0.5),
+    "split rho": lambda x: split_budget(1.0, x),
 }
 
 

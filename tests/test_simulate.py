@@ -66,6 +66,50 @@ def test_scenario_validation():
     spec = MethodSpec("sup-bh", options={"m_peel": "20", "gs": 1, "noise": "laplace"})
     assert spec.options == {"m_peel": 20, "gs": 1.0, "noise": "laplace"}
     assert type(spec.options["gs"]) is float
+    with pytest.raises(ValueError, match="theta_signal"):
+        _scn(theta_signal=float("nan"))
+
+
+# one out-of-range value for every option of the table
+_BAD_OPTIONS = {
+    "mu": -1.0, "eps": -3.0, "delta": 2.0, "sigma0": -1.0, "sigma1": -1.0,
+    "zeta": 2, "gs": -1.0, "m_peel": 0, "noise": "foo",
+    "tau": 2.0, "c": -1.0, "m_tilde": 0, "c0": 5.0, "rho": 2.0,
+    "eta": -1.0, "nu": 2.0, "laplace_scale": -1.0,
+}
+
+
+def test_bad_option_table_covers_every_option():
+    # an option added to the table without a check fails here first
+    assert set(_BAD_OPTIONS) == set(simulate.OPTION_TYPES)
+
+
+@pytest.mark.parametrize("key", sorted(_BAD_OPTIONS))
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_every_method_refuses_every_bad_option(name, key):
+    # every method builds every config, so a value is refused even where
+    # the method does not use it
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        MethodSpec(name, options={key: _BAD_OPTIONS[key]})
+
+
+def test_refused_option_combinations():
+    with pytest.raises(ValueError, match="laplace noise requires an \\(eps, delta\\) budget"):
+        MethodSpec("sup-bh", options={"noise": "laplace", "mu": 1.0})
+    for name in ("asup-bh", "asup-bonf"):
+        with pytest.raises(ValueError, match="adaptive test supports gaussian noise only"):
+            MethodSpec(name, options={"noise": "laplace"})
+
+
+def test_run_method_reads_only_the_configs_of_its_spec():
+    p = np.random.default_rng(5).uniform(size=200)
+    for name in METHOD_NAMES:
+        spec = MethodSpec(name, options={"m_peel": 20, "tau": 0.3})
+        want = run_method(spec, p, 0.1, RandomStream(4))
+        object.__setattr__(spec, "options", None)
+        got = run_method(spec, p, 0.1, RandomStream(4))
+        assert np.array_equal(got.rejected_indices, want.rejected_indices)
+        assert spec.adaptive.tau == 0.3
 
 
 def test_gen_pvalues_null_uniform():
