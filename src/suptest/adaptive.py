@@ -125,15 +125,15 @@ def pi0_inv_bar(pvals, tau: float, c0: float) -> float:
 
 def gs_pi0(gs: float, tau: float) -> float:
     """Sensitivity of pi0_bar when one record moves every Q(p_j) by gs."""
-    if gs <= 0.0:
-        raise ValueError("gs must be positive")
+    if not 0.0 < gs < math.inf:
+        raise ValueError("gs must be finite and positive")
     return gs / ((1.0 - tau) * e_tau(tau))
 
 
 def gs_pi0_inv(gs: float, tau: float, c0: float) -> float:
     """Sensitivity of pi0_inv_bar under the same record model."""
-    if gs < 0.0:
-        raise ValueError("gs must be nonnegative")
+    if not 0.0 <= gs < math.inf:
+        raise ValueError("gs must be finite and nonnegative")
     if not 0.0 < c0 < 1.0:
         raise ValueError("c0 must lie in (0,1)")
     if not 0.0 < tau < 1.0:
@@ -158,9 +158,11 @@ def pi0_hat(pi0_inv_val: float, sigma_tau: float, noise: float,
             c0: float = AdaptiveConfig.c0) -> float:
     """Private null-fraction estimate: add sigma_tau-scaled noise to the
     inverse estimate, clamp to [1, 1/c0], invert. Result lies in [c0, 1]."""
-    if sigma_tau < 0.0:
-        raise ValueError("sigma_tau must be nonnegative")
+    if not 0.0 <= sigma_tau < math.inf:
+        raise ValueError("sigma_tau must be finite and nonnegative")
     v = pi0_inv_val + sigma_tau * noise
+    if not math.isfinite(v):
+        raise ValueError("pi0_inv_val and noise must be finite")
     v = min(max(v, 1.0), 1.0 / c0)
     return float(1.0 / v)
 

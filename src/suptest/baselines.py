@@ -4,11 +4,13 @@ classic_procedure runs BH, BY, Bonferroni and Holm on raw p-values as the
 zero-noise case of the private tests: all m values, unchanged, go through
 the same threshold families and step rule (thresholds.reject_peeled).
 
-dp_bh and dp_bonf forward-peel noisy log p-values and compare them against
-log thresholds deflated by a privacy penalty:
+dp_test, the log-scale comparator of Dwork, Su & Zhang (J. Privacy &
+Confidentiality 2021), floors the p-values at nu, forward-peels n noisy
+logs (n = m' for bh, m for bonf) and steps up against log thresholds
+deflated by a privacy penalty; its Laplace scale drops the penalty's last log:
 
-    dp_bh   log(alpha j / m) - eta sqrt(10 m' ln(1/delta) ln(6 m'/alpha)) / eps
-    dp_bonf log(alpha / m)   - eta sqrt(10 m  ln(1/delta) ln(5 m /alpha)) / (2 eps)
+    bh    log(alpha j / m) - eta sqrt(10 m' ln(1/delta) ln(6 m'/alpha)) / eps
+    bonf  log(alpha / m)   - eta sqrt(10 m  ln(1/delta) ln(5 m /alpha)) / (2 eps)
 
 theorem8_check evaluates the sufficient condition under which the
 Gaussian-free (Laplace) peeling test dominates these comparators.
@@ -31,12 +33,9 @@ from .transform import checked_pvalues
 __all__ = [
     "DworkParams",
     "classic_procedure",
-    "dp_bh",
-    "dp_bonf",
-    "dp_bh_penalty",
-    "dp_bonf_penalty",
-    "dp_bh_scale",
-    "dp_bonf_scale",
+    "dp_test",
+    "dp_penalty",
+    "dp_scale",
     "theorem8_check",
 ]
 
@@ -85,29 +84,29 @@ def classic_procedure(pvals, family: str, alpha: float) -> np.ndarray:
                          DEFAULT_ZETA[family]).rejected_indices
 
 
-def dp_bh_penalty(params: DworkParams, alpha: float) -> float:
-    mp = params.m_peel
+_DP_VARIANTS = {"bh": (6.0, 1.0), "bonf": (5.0, 2.0)}
+
+
+def _dp_formula(params: DworkParams, m: int, variant: str) -> tuple:
+    """(n, c, d) of a variant: n rounds, the constant c in the penalty's
+    last log and the divisor d of eps (see the module docstring)."""
+    if variant not in _DP_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return (params.m_peel if variant == "bh" else m,) + _DP_VARIANTS[variant]
+
+
+def dp_penalty(params: DworkParams, alpha: float, m: int, variant: str) -> float:
+    n, const, div = _dp_formula(params, m, variant)
     return params.eta * math.sqrt(
-        10.0 * mp * math.log(1.0 / params.delta) * math.log(6.0 * mp / alpha)
-    ) / params.eps
+        10.0 * n * math.log(1.0 / params.delta) * math.log(const * n / alpha)
+    ) / (div * params.eps)
 
 
-def dp_bonf_penalty(params: DworkParams, alpha: float, m: int) -> float:
+def dp_scale(params: DworkParams, m: int, variant: str) -> float:
+    n, _, div = _dp_formula(params, m, variant)
     return params.eta * math.sqrt(
-        10.0 * m * math.log(1.0 / params.delta) * math.log(5.0 * m / alpha)
-    ) / (2.0 * params.eps)
-
-
-def dp_bh_scale(params: DworkParams) -> float:
-    return params.eta * math.sqrt(
-        10.0 * params.m_peel * math.log(1.0 / params.delta)
-    ) / params.eps
-
-
-def dp_bonf_scale(params: DworkParams, m: int) -> float:
-    return params.eta * math.sqrt(
-        10.0 * m * math.log(1.0 / params.delta)
-    ) / (2.0 * params.eps)
+        10.0 * n * math.log(1.0 / params.delta)
+    ) / (div * params.eps)
 
 
 def _floored_logs(pvals, params: DworkParams, alpha: float) -> np.ndarray:
@@ -118,66 +117,44 @@ def _floored_logs(pvals, params: DworkParams, alpha: float) -> np.ndarray:
     return np.log(np.maximum(p, nu))
 
 
-def dp_bh(
+def dp_test(
     pvals,
     params: DworkParams,
     alpha: float,
     stream: RandomStream,
+    variant: str,
     penalty: Optional[float] = None,
 ) -> np.ndarray:
-    """Private BH comparator: forward-peel params.m_peel noisy log
-    p-values, then step-up against log(alpha j / m) minus the penalty.
+    """Log-scale private comparator, variant "bh" or "bonf": forward-peel
+    n noisy log p-values, then step up against the variant's log
+    thresholds minus the penalty.
 
     Returns sorted rejected indices. penalty overrides the calibrated
     value (used by reduction checks)."""
     logs = _floored_logs(pvals, params, alpha)
     m = logs.size
-    if params.m_peel > m:
-        raise ValueError("m_peel cannot exceed the number of hypotheses")
+    n, _, _ = _dp_formula(params, m, variant)
     scale = params.laplace_scale
     if scale is None:
-        scale = dp_bh_scale(params)
+        scale = dp_scale(params, m, variant)
     if penalty is None:
-        penalty = dp_bh_penalty(params, alpha)
-    picked, values = forward_peel_baseline(logs, params.m_peel, scale, stream)
+        penalty = dp_penalty(params, alpha, m, variant)
+    picked, values = forward_peel_baseline(logs, n, scale, stream)
     order = np.argsort(values, kind="stable")
-    thr = np.log(alpha * np.arange(1, params.m_peel + 1) / m) - penalty
+    # against bonf's constant threshold the step-up rejects exactly the values
+    # at or below it; math.log keeps its bits, which numpy's SIMD log may not
+    if variant == "bh":
+        thr = np.log(alpha * np.arange(1, n + 1) / m) - penalty
+    else:
+        thr = math.log(alpha / m) - penalty
     hits = np.flatnonzero(values[order] <= thr)
     k = hits[-1] + 1 if hits.size else 0
     return np.sort(picked[order[:k]])
-
-
-def dp_bonf(
-    pvals,
-    params: DworkParams,
-    alpha: float,
-    stream: RandomStream,
-    penalty: Optional[float] = None,
-) -> np.ndarray:
-    """Private Bonferroni comparator: m forward-peeling rounds, constant
-    threshold log(alpha / m) minus the penalty. Returns sorted indices."""
-    logs = _floored_logs(pvals, params, alpha)
-    m = logs.size
-    scale = params.laplace_scale
-    if scale is None:
-        scale = dp_bonf_scale(params, m)
-    if penalty is None:
-        penalty = dp_bonf_penalty(params, alpha, m)
-    picked, values = forward_peel_baseline(logs, m, scale, stream)
-    thr = math.log(alpha / m) - penalty
-    return np.sort(picked[values <= thr])
 
 
 def theorem8_check(params: DworkParams, alpha: float, m: int, variant: str) -> bool:
     """Sufficient-dominance condition of the Laplace peeling test over the
     corresponding log-scale comparator."""
     v = variant.lower()
-    if v == "bh":
-        lhs = dp_bh_scale(params)
-        rhs = 1.0 - 1.0 / math.log(6.0 * params.m_peel / alpha)
-    elif v == "bonf":
-        lhs = dp_bonf_scale(params, m)
-        rhs = 1.0 - 1.0 / math.log(5.0 * m / alpha)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return lhs <= rhs
+    n, const, _ = _dp_formula(params, m, v)
+    return dp_scale(params, m, v) <= 1.0 - 1.0 / math.log(const * n / alpha)

@@ -140,10 +140,10 @@ def normal_laplace_cdf(x, b):
         b: Laplace scale, strictly positive.
 
     Raises:
-        ValueError: if b <= 0.
+        ValueError: unless b is finite and positive.
     """
-    if b <= 0.0:
-        raise ValueError("Laplace scale b must be positive")
+    if not 0.0 < b < math.inf:
+        raise ValueError("Laplace scale b must be finite and positive")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)

@@ -39,6 +39,7 @@ private BH pipeline does.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import deque
 from contextlib import contextmanager
@@ -95,12 +96,10 @@ def reversed_peel(
         noise_kind: "gaussian" or "laplace".
     """
     pc = clamp_pvalues(pvals)
-    if pc.size == 0:
-        raise ValueError("pvals must be nonempty")
     if m_peel < 1:
         raise ValueError("m_peel must be a positive integer")
     if m_peel > pc.size:
-        raise ValueError("cannot peel more indices than hypotheses")
+        raise ValueError("m_peel cannot exceed the number of hypotheses")
     if noise_kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     q = None if scales.sigma0 == scales.sigma1 == 0.0 else std_normal_quantile(pc)
@@ -195,12 +194,14 @@ def forward_peel_baseline(
     Returns:
         (indices, noisy_values): both length m_peel, in peel order.
     """
-    if laplace_scale < 0.0:
-        raise ValueError("laplace_scale must be nonnegative")
+    if not 0.0 <= laplace_scale < math.inf:
+        raise ValueError("laplace_scale must be finite and nonnegative")
     work = np.asarray(log_pvals, dtype=float).copy()
     m = work.size
-    if m_peel < 1 or m_peel > m:
-        raise ValueError("m_peel must lie in [1, len(log_pvals)]")
+    if m_peel < 1:
+        raise ValueError("m_peel must be a positive integer")
+    if m_peel > m:
+        raise ValueError("m_peel cannot exceed the number of hypotheses")
     gen = stream.generator()
     remaining = np.arange(m)
     picked = np.empty(m_peel, dtype=np.intp)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import AdaptiveConfig, adaptive_sup_test
-from .baselines import DworkParams, classic_procedure, dp_bh, dp_bonf
+from .baselines import DworkParams, classic_procedure, dp_test
 from .numerics import RandomStream, std_normal_cdf, std_normal_quantile, usable_cores
 from .peeling import PeelOutcome
 from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
@@ -225,12 +225,11 @@ def run_method(spec: MethodSpec, pvals, alpha: float, stream: RandomStream) -> R
         rejected = classic_procedure(p, name, alpha)
         return Release(PeelOutcome(np.arange(p.size), p), rejected.size, rejected, p.size)
     if name.startswith("dp-"):
-        if name == "dp-bh":
-            rejected, m_peel = dp_bh(p, spec.dwork, alpha, stream), spec.dwork.m_peel
-        else:
-            rejected, m_peel = dp_bonf(p, spec.dwork, alpha, stream), p.size
+        variant = spec.config.family
+        rejected = dp_test(p, spec.dwork, alpha, stream, variant)
         nothing = PeelOutcome(np.empty(0, dtype=np.intp), np.empty(0))
-        return Release(nothing, rejected.size, rejected, m_peel,
+        return Release(nothing, rejected.size, rejected,
+                       spec.dwork.m_peel if variant == "bh" else p.size,
                        PrivacyBudget.approx_dp(spec.dwork.eps, spec.dwork.delta))
     cfg = replace(spec.config, alpha=alpha)
     if name.startswith("sup-"):
@@ -350,8 +349,8 @@ def run_replications(scenario: SimScenario) -> MetricsTable:
 
 def noise_inflation(m_peel: int, gs: float, mu: float) -> float:
     """Variance inflation 2 m' gs^2 / mu^2 of the inference row noise."""
-    if m_peel < 1 or gs < 0.0 or mu <= 0.0:
-        raise ValueError("need m_peel >= 1, gs >= 0, mu > 0")
+    if m_peel < 1 or not 0.0 <= gs < math.inf or not 0.0 < mu < math.inf:
+        raise ValueError("need m_peel >= 1, finite gs >= 0, finite mu > 0")
     return 2.0 * m_peel * gs * gs / (mu * mu)
 
 
@@ -375,10 +374,10 @@ def asymptotic_bh_threshold(
         raise ValueError("omega1 must lie in (0,1)")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    if signal == 0.0:
-        raise ValueError("signal magnitude must be nonzero")
-    if noise_inflation < 0.0:
-        raise ValueError("noise_inflation must be nonnegative")
+    if signal == 0.0 or not math.isfinite(signal):
+        raise ValueError("signal magnitude must be finite and nonzero")
+    if not 0.0 <= noise_inflation < math.inf:
+        raise ValueError("noise_inflation must be finite and nonnegative")
     beta = (1.0 - alpha * (1.0 - omega1)) / (alpha * omega1)
     if beta <= 1.0:
         raise ValueError("beta <= 1: the threshold equation has no positive root")
@@ -426,6 +425,22 @@ class MixtureScenario:
     mu: Optional[float] = None
     m_peel: Optional[int] = None
     sigma_override: Optional[tuple] = None
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("m must be a positive integer")
+        if not 0.0 < self.omega1 < 1.0:
+            raise ValueError("omega1 must lie in (0,1)")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0,1)")
+        if self.signal == 0.0 or not math.isfinite(self.signal):
+            raise ValueError("signal must be finite and nonzero")
+        if not 0.0 < self.gs < math.inf:
+            raise ValueError("gs must be finite and positive")
+        if self.mu is not None and not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be finite and positive")
+        if self.m_peel is not None and not 1 <= self.m_peel <= self.m:
+            raise ValueError("m_peel must lie in [1, m]")
 
     def resolved_mu(self) -> float:
         return budget_as_mu(EXPERIMENT_BUDGET) if self.mu is None else self.mu

@@ -15,7 +15,7 @@ variants set it to 1/pi0_hat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -68,8 +68,8 @@ class ThresholdFamily:
             raise ValueError("alpha must lie in (0,1)")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        if self.pi0_inv_scale < 1.0:
-            raise ValueError("pi0_inv_scale must be >= 1")
+        if not 1.0 <= self.pi0_inv_scale < math.inf:
+            raise ValueError("pi0_inv_scale must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ class Release:
     classic procedures and dp-bonf). budget is the privacy budget the
     release spent: None for the classic procedures, for truncated_sup_test
     and where sigma_override set the noise scales, which no budget
-    calibrated. scales are the noise scales of sup_test and
-    adaptive_sup_test, None for the other methods.
+    calibrated. scales are the noise scales of sup_test, truncated_sup_test
+    and adaptive_sup_test, None for the other methods.
     """
 
     peeled: peeling.PeelOutcome
@@ -232,11 +232,6 @@ def resolve_scales(config: TestConfig, m_peel: int) -> NoiseScales:
     )
 
 
-def _check_m_peel(m_peel: int, m: int):
-    if m_peel > m:
-        raise ValueError("m_peel cannot exceed the number of hypotheses")
-
-
 def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -> Release:
     """Full private test: calibrate, peel, select.
 
@@ -251,7 +246,6 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
         released_budget) and the noise scales.
     """
     p = np.asarray(pvals, dtype=float)
-    _check_m_peel(config.m_peel, p.size)
     scales = resolve_scales(config, config.m_peel)
     if stream is None:
         stream = RandomStream(config.seed)
@@ -264,8 +258,8 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
 def truncated_sup_test(
     pvals, config: TestConfig, stream: Optional[RandomStream] = None
 ) -> Release:
-    """No-peeling variant: all m values are peeled with sigma1 = 0, which
-    draws no peeling rows, and all m noisy inference values enter
+    """No-peeling variant: sup_test with all m values peeled at sigma1 = 0,
+    which draws no peeling rows, so all m noisy inference values enter
     selection. sigma0 is calibrated at config.m_peel as in sup_test.
     Analysis tool only; releasing all m values carries no privacy
     guarantee under the peeling calibration.
@@ -275,10 +269,7 @@ def truncated_sup_test(
     budget, since the calibration does not cover it.
     """
     p = np.asarray(pvals, dtype=float)
-    _check_m_peel(config.m_peel, p.size)
-    scales = NoiseScales(resolve_scales(config, config.m_peel).sigma0, 0.0)
-    if stream is None:
-        stream = RandomStream(config.seed)
-    peel = peeling.reversed_peel(p, p.size, scales, stream, config.noise_kind)
-    family = ThresholdFamily(config.family, config.alpha, p.size)
-    return reject_peeled(peel, family, config.resolved_zeta())
+    if config.m_peel > p.size:
+        raise ValueError("m_peel cannot exceed the number of hypotheses")
+    sigma0 = resolve_scales(config, config.m_peel).sigma0
+    return sup_test(p, replace(config, m_peel=p.size, sigma_override=(sigma0, 0.0)), stream)

@@ -128,6 +128,24 @@ def test_single_record_sensitivity_bounds():
             <= bound_inv + 1e-12
 
 
+# each checked scalar input of the estimators in turn
+_CHECKED = {
+    "gs_pi0 gs": lambda x: gs_pi0(x, 0.5),
+    "gs_pi0_inv gs": lambda x: gs_pi0_inv(x, 0.5, 0.5),
+    "pi0_hat pi0_inv_val": lambda x: pi0_hat(x, 1.0, 0.3),
+    "pi0_hat sigma_tau": lambda x: pi0_hat(1.2, x, 0.3),
+    "pi0_hat noise": lambda x: pi0_hat(1.2, 1.0, x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("checked", sorted(_CHECKED))
+def test_non_finite_inputs_are_refused(checked, bad):
+    # NaN fails every comparison, so a check written as x < 0 would pass it
+    with pytest.raises(ValueError):
+        _CHECKED[checked](bad)
+
+
 def test_adaptive_config_validation():
     with pytest.raises(ValueError):
         AdaptiveConfig(tau=0.0)

@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from classic_oracle import classic_procedure as classic_oracle
+from forward_oracle import forward_peel_delete
 from suptest.baselines import (
     DworkParams,
     classic_procedure,
-    dp_bh,
-    dp_bh_penalty,
-    dp_bonf,
-    dp_bonf_penalty,
+    dp_penalty,
+    dp_test,
     theorem8_check,
 )
 from suptest.numerics import RandomStream
+from suptest.peeling import forward_peel_baseline
 from suptest.thresholds import FAMILIES
 
 
@@ -97,13 +97,16 @@ def test_dwork_params_validation():
         DworkParams(eta=1e-4, nu=0.1, eps=0.5, delta=1e-3, m_peel=0)
 
 
-# each checked field of DworkParams in turn
+# each checked field of DworkParams in turn, and the forward peel's scale;
+# the last word of a key is the name its error message carries
 _DWORK_CHECKED = {
     "eta": lambda x: DworkParams(eta=x),
     "nu": lambda x: DworkParams(nu=x),
     "eps": lambda x: DworkParams(eps=x),
     "delta": lambda x: DworkParams(delta=x),
     "laplace_scale": lambda x: DworkParams(laplace_scale=x),
+    "forward_peel laplace_scale": lambda x: forward_peel_baseline(
+        np.log([0.1, 0.2, 0.3]), 2, x, RandomStream(0)),
 }
 
 
@@ -111,15 +114,79 @@ _DWORK_CHECKED = {
 @pytest.mark.parametrize("checked", sorted(_DWORK_CHECKED))
 def test_dwork_params_refuse_non_finite_values(checked, bad):
     # NaN fails every comparison, so a check written as x <= 0 would pass it
-    with pytest.raises(ValueError, match=checked):
+    with pytest.raises(ValueError, match=checked.split()[-1]):
         _DWORK_CHECKED[checked](bad)
+
+
+def test_dp_test_refuses_unknown_variant_and_bad_m_peel():
+    p = np.full(10, 0.5)
+    with pytest.raises(ValueError, match="unknown variant"):
+        dp_test(p, DworkParams(m_peel=5), 0.1, RandomStream(0), "hochberg")
+    with pytest.raises(ValueError, match="m_peel cannot exceed the number of hypotheses"):
+        dp_test(p, DworkParams(m_peel=11), 0.1, RandomStream(0), "bh")
+    with pytest.raises(ValueError, match="m_peel must be a positive integer"):
+        forward_peel_baseline(np.log(p), 0, 1.0, RandomStream(0))
+
+
+def _dp_oracle(p, params, alpha, stream, variant, penalty):
+    """The comparator written out from the baselines module docstring: floor
+    at nu, take logs, forward-peel n rounds with the eager loop, then step
+    up against log thresholds minus the penalty."""
+    m = len(p)
+    nu = alpha / (2 * m) if params.nu is None else params.nu
+    logs = np.log(np.maximum(p, nu))
+    eta, eps, ln_delta = params.eta, params.eps, math.log(1 / params.delta)
+    if variant == "bh":
+        n = params.m_peel
+        scale = eta * math.sqrt(10 * n * ln_delta) / eps
+        pen = eta * math.sqrt(10 * n * ln_delta * math.log(6 * n / alpha)) / eps
+    else:
+        n = m
+        scale = eta * math.sqrt(10 * m * ln_delta) / (2 * eps)
+        pen = eta * math.sqrt(10 * m * ln_delta * math.log(5 * m / alpha)) / (2 * eps)
+    if params.laplace_scale is not None:
+        scale = params.laplace_scale
+    if penalty is not None:
+        pen = penalty
+    picked, values = forward_peel_delete(logs, n, scale, stream)
+    if variant == "bh":
+        thresholds = np.log(alpha * np.arange(1, n + 1) / m) - pen
+    else:
+        thresholds = [math.log(alpha / m) - pen] * n
+    order = sorted(range(n), key=lambda k: values[k])
+    k_star = max((j for j in range(1, n + 1) if values[order[j - 1]] <= thresholds[j - 1]),
+                 default=0)
+    return sorted(picked[k] for k in order[:k_star])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pvals=st.lists(_P, min_size=1, max_size=40), variant=st.sampled_from(["bh", "bonf"]),
+       alpha=st.floats(0.01, 0.5), eta=st.sampled_from([1e-4, 1e-2, 1.0]),
+       eps=st.sampled_from([0.05, 0.5, 5.0]), nu=st.sampled_from([None, 1e-6]),
+       laplace_scale=st.sampled_from([None, 0.0, 0.1, 1.0]),
+       penalty=st.sampled_from([None, 0.0]), peel_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**31))
+# the reductions to no noise and no penalty, with every value peeled
+@example(pvals=[1e-9, 1e-3, 0.02, 0.5, 1.0, 0.0], variant="bh", alpha=0.1, eta=1e-4,
+         eps=0.5, nu=1e-6, laplace_scale=0.0, penalty=0.0, peel_share=1.0, seed=0)
+@example(pvals=[1e-9, 1e-3, 0.02, 0.5, 1.0, 0.0], variant="bonf", alpha=0.1, eta=1e-4,
+         eps=0.5, nu=1e-6, laplace_scale=0.0, penalty=0.0, peel_share=1.0, seed=0)
+def test_dp_test_matches_docstring_oracle(pvals, variant, alpha, eta, eps, nu,
+                                          laplace_scale, penalty, peel_share, seed):
+    p = np.array(pvals)
+    m_peel = 1 + round(peel_share * (p.size - 1))
+    params = DworkParams(eta=eta, nu=nu, eps=eps, delta=1e-3, m_peel=m_peel,
+                         laplace_scale=laplace_scale)
+    got = dp_test(p, params, alpha, RandomStream(seed), variant, penalty)
+    want = _dp_oracle(p, params, alpha, RandomStream(seed), variant, penalty)
+    assert got.tolist() == want
 
 
 def test_dp_penalty_golden_values():
     params = DworkParams(eta=1e-4, nu=1e-5, eps=0.5, delta=1e-3, m_peel=200)
     # direct arithmetic: eta*sqrt(10*200*ln(1000)*ln(12000))/eps
-    assert abs(dp_bh_penalty(params, 0.1) - 0.07204565776) < 1e-9
-    assert abs(dp_bonf_penalty(params, 0.1, 5000) - 0.2071931271) < 1e-9
+    assert abs(dp_penalty(params, 0.1, 5000, "bh") - 0.07204565776) < 1e-9
+    assert abs(dp_penalty(params, 0.1, 5000, "bonf") - 0.2071931271) < 1e-9
 
 
 def test_dp_bh_zero_noise_zero_penalty_is_classic_on_peeled_set():
@@ -129,7 +196,7 @@ def test_dp_bh_zero_noise_zero_penalty_is_classic_on_peeled_set():
     m = p.size
     params = DworkParams(eta=1e-4, nu=1e-8, eps=0.5, delta=1e-3,
                          m_peel=m, laplace_scale=0.0)
-    rej = dp_bh(p, params, 0.1, RandomStream(0), penalty=0.0)
+    rej = dp_test(p, params, 0.1, RandomStream(0), "bh", penalty=0.0)
     ref = classic_procedure(p, "bh", 0.1)
     assert np.array_equal(rej, ref)
 
@@ -138,7 +205,7 @@ def test_dp_bh_large_eps_approaches_classic():
     # widely separated p-values: vanishing noise and penalty recover BH
     p = np.geomspace(1e-8, 0.9, 40)
     params = DworkParams(eta=1e-4, nu=1e-12, eps=1e6, delta=1e-3, m_peel=40)
-    rej = dp_bh(p, params, 0.1, RandomStream(5))
+    rej = dp_test(p, params, 0.1, RandomStream(5), "bh")
     ref = classic_procedure(p, "bh", 0.1)
     assert np.array_equal(rej, ref)
 
@@ -148,13 +215,13 @@ def test_dp_bh_strong_privacy_rejects_nothing():
     # garbage regime (eta ~ 1) makes the comparator misfire by design
     p = np.full(50, 0.5)
     params = DworkParams(eta=1e-4, nu=1e-6, eps=0.01, delta=1e-3, m_peel=20)
-    assert dp_bh(p, params, 0.1, RandomStream(2)).size == 0
+    assert dp_test(p, params, 0.1, RandomStream(2), "bh").size == 0
 
 
 def test_dp_bonf_large_eps_is_classic_bonferroni():
     p = np.geomspace(1e-9, 0.9, 30)
     params = DworkParams(eta=1e-4, nu=1e-12, eps=1e6, delta=1e-3, m_peel=30)
-    rej = dp_bonf(p, params, 0.1, RandomStream(3))
+    rej = dp_test(p, params, 0.1, RandomStream(3), "bonf")
     ref = classic_procedure(p, "bonf", 0.1)
     assert np.array_equal(rej, ref)
 
@@ -162,14 +229,14 @@ def test_dp_bonf_large_eps_is_classic_bonferroni():
 def test_dp_bonf_strong_privacy_rejects_nothing():
     p = np.full(40, 0.5)
     params = DworkParams(eta=1e-4, nu=1e-6, eps=0.05, delta=1e-3, m_peel=40)
-    assert dp_bonf(p, params, 0.1, RandomStream(4)).size == 0
+    assert dp_test(p, params, 0.1, RandomStream(4), "bonf").size == 0
 
 
 def test_dp_bh_deterministic():
     p = np.random.default_rng(13).uniform(size=60)
     params = DworkParams(eta=1e-4, nu=1e-6, eps=0.5, delta=1e-3, m_peel=25)
-    a = dp_bh(p, params, 0.1, RandomStream(9))
-    b = dp_bh(p, params, 0.1, RandomStream(9))
+    a = dp_test(p, params, 0.1, RandomStream(9), "bh")
+    b = dp_test(p, params, 0.1, RandomStream(9), "bh")
     assert np.array_equal(a, b)
 
 

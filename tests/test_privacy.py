@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from suptest.numerics import normal_laplace_cdf
 from suptest.privacy import (
     NoiseScales,
     PrivacyBudget,
@@ -13,6 +14,8 @@ from suptest.privacy import (
     gdp_to_approx_dp_delta,
     split_budget,
 )
+from suptest.simulate import asymptotic_bh_threshold, noise_inflation
+from suptest.thresholds import ThresholdFamily
 
 
 def test_budget_constructors():
@@ -35,7 +38,8 @@ def test_budget_validation(args):
         PrivacyBudget(**args)
 
 
-# each checked input of a budget, a calibration or a conversion in turn
+# each checked input of a budget, a calibration, a conversion or a noise
+# scale in turn
 _CHECKED = {
     "gdp mu": lambda x: PrivacyBudget.gdp(x),
     "approx_dp eps": lambda x: PrivacyBudget.approx_dp(x, 1e-3),
@@ -55,6 +59,12 @@ _CHECKED = {
     "compose mu2": lambda x: gdp_compose(1.0, x),
     "split mu": lambda x: split_budget(x, 0.5),
     "split rho": lambda x: split_budget(1.0, x),
+    "normal_laplace_cdf b": lambda x: normal_laplace_cdf(0.3, x),
+    "inflation gs": lambda x: noise_inflation(10, x, 1.0),
+    "inflation mu": lambda x: noise_inflation(10, 1e-4, x),
+    "asymptotic signal": lambda x: asymptotic_bh_threshold(0.1, 0.2, x, 0.0),
+    "asymptotic inflation": lambda x: asymptotic_bh_threshold(0.1, 0.2, 2.0, x),
+    "family pi0_inv_scale": lambda x: ThresholdFamily("bh", 0.1, 10, x),
 }
 
 

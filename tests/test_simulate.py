@@ -432,6 +432,26 @@ def test_empirical_tdp_gap_deterministic():
     assert a == b
 
 
+_BAD_MIXTURES = {
+    "m": [0, -5],
+    "omega1": [0.0, 1.0, float("nan")],
+    "alpha": [0.0, 1.0, float("nan")],
+    "signal": [0.0, float("nan"), float("inf")],
+    "gs": [0.0, -1e-4, float("nan"), float("inf")],
+    "mu": [0.0, -0.5, float("nan"), float("inf")],
+    "m_peel": [0, 201],
+}
+
+
+@pytest.mark.parametrize("key, value", [(k, v) for k, vs in _BAD_MIXTURES.items()
+                                        for v in vs])
+def test_mixture_scenario_refuses_bad_values(key, value):
+    # before it was checked, omega1 = nan drew no signals and returned a
+    # zero gap
+    with pytest.raises(ValueError, match=key):
+        MixtureScenario(**{"m": 200, key: value})
+
+
 def test_mixture_scenario_defaults():
     scn = MixtureScenario()
     assert scn.resolved_mu() == pytest.approx(experiment_mu(0.5, 1e-3))
