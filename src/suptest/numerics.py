@@ -27,9 +27,9 @@ __all__ = [
     "std_normal_quantile",
     "normal_laplace_cdf",
     "ndtr",
+    "ndtri",
     "log_ndtr",
     "RandomStream",
-    "rekeyed",
     "usable_cores",
 ]
 
@@ -152,18 +152,6 @@ def normal_laplace_cdf(x, b):
     return float(out[0]) if scalar else out
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_WORD = 0xFFFFFFFF
-
-
-def _n_words(value: int) -> int:
-    """uint32 words SeedSequence splits a nonnegative integer into."""
-    return max(1, -(-value.bit_length() // 32))
-
-
 @dataclass(frozen=True)
 class RandomStream:
     """Deterministic, splittable source of randomness.
@@ -174,13 +162,6 @@ class RandomStream:
     and still reproduce bit-identical results. Backed by the counter-based
     Philox generator keyed through numpy's SeedSequence hash of the
     identity.
-
-    child_keys hashes the Philox keys of many children at once: row i is
-    the key that SeedSequence(entropy=seed, spawn_key=(stream_id, *path,
-    indices[i])) gives Philox, so Generator(Philox(key=row)) draws exactly
-    what self.child(indices[i]).generator() draws. It repeats numpy's
-    hash in vectorised uint32 arithmetic, and a test checks it bit for
-    bit against numpy's SeedSequence.
     """
 
     seed: int
@@ -205,61 +186,6 @@ class RandomStream:
             entropy=self.seed, spawn_key=(self.stream_id, *self.path)
         )
         return np.random.Generator(np.random.Philox(ss))
-
-    def child_keys(self, indices) -> np.ndarray:
-        """Philox keys of self.child(k) for each k of indices, each in
-        [0, 2**32), as an (n, 2) uint64 array (see the class docstring).
-
-        The child's entropy is this stream's plus the one word k, which
-        SeedSequence mixes in last: each of the four pool words is mixed
-        with a hash of k under a constant that depends only on how many
-        words came before. So this stream's pool is hashed once and only
-        the last mixing step and generate_state run per child.
-        """
-        k = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if k.size and (k.min() < 0 or k.max() > _WORD):
-            raise ValueError("child indices must lie in [0, 2**32)")
-        k = k.astype(np.uint32)
-        pool = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, *self.path)).pool
-        # hashes before the child's word: 4 for the first four entropy words
-        # (numpy pads the seed to four when there is a spawn key), 12 to mix
-        # them into each other and 4 for each later word, so 4 per word
-        words = max(4, _n_words(self.seed)) + sum(map(_n_words, (self.stream_id, *self.path)))
-        hash_a = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _WORD
-        hash_b = _INIT_B
-        state = np.empty((k.size, 4), dtype=np.uint32)
-        for i, word in enumerate(pool.tolist()):
-            # pool word i = mix(word, hashmix(k))
-            v = k ^ hash_a
-            hash_a = hash_a * _MULT_A & _WORD
-            v *= hash_a
-            v ^= v >> 16
-            v = (_MIX_MULT_L * word & _WORD) - _MIX_MULT_R * v
-            v ^= v >> 16
-            # output word i of generate_state
-            v ^= hash_b
-            hash_b = hash_b * _MULT_B & _WORD
-            v *= hash_b
-            v ^= v >> 16
-            state[:, i] = v
-        return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-_ZEROS = np.zeros(4, dtype=np.uint64)
-
-
-def rekeyed(gen: np.random.Generator, key) -> np.random.Generator:
-    """gen, which must run on Philox, moved to the start of the stream of
-    the given key: zero counter and no buffered output. It then draws what
-    Generator(Philox(key=key)) draws, so a key from child_keys makes it
-    draw what that child's generator() draws; resetting costs a few
-    microseconds, a new SeedSequence, Philox and Generator about ten times
-    as much."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
 
 
 def usable_cores() -> int:

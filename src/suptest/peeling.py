@@ -1,37 +1,20 @@
 """Reversed peeling and the forward-peeling baseline.
 
-Reversed peeling releases the inference values of m_peel hypotheses. In
-peeling round k (k = 1..m_peel) a fresh noise row is drawn from
-stream.child(k), and the surviving index with the smallest noisy p-value
-is peeled. The inference row, drawn from stream.child(0), is only ever
-read at the peeled indices.
+Reversed peeling releases the inference values of m_peel hypotheses. Each
+of its m_peel rounds is report-noisy-min over the survivors: the survivor
+with the smallest key Phi^-1(p) + z, z fresh noise of scale sigma1, is
+peeled. The noisy p-value is nondecreasing in the key (see transform.py),
+so this is the survivor with the smallest noisy p-value. The inference
+row, drawn from stream.child(0), is transformed at the m_peel peeled
+indices only.
 
-No (1 + m_peel) x m matrix is built. The noisy p-value is nondecreasing
-in the key Phi^-1(p) + z (see transform.py), so each round peels the first
-argmin of the key over the survivors, which is report-noisy-min, and
-drops the row; ties go to the smallest index among equal keys. The
-inference row is transformed at the m_peel peeled indices only. Memory is
-O(m) and each round costs one noise draw plus two passes over the keys
-(add, argmin).
-
-Who draws the rows: a noise row costs only its draws. The Philox keys of
-all the rows of a peel are hashed in one RandomStream.child_keys call, and
-each row is drawn from a generator keyed with its key, which gives the
-same bytes as stream.child(k).generator(); no row builds its own
-SeedSequence. In the round loop one generator is re-keyed before each
-row, to a zero counter and an empty buffer. The rows do not depend on the
-peel, and draws are about 90% of a large one, so for m >= THREADED_MIN_M
-(10,000) a thread pool draws the upcoming rows in round order while the
-rounds consume them, each row on a new generator built from its key, as
-threads cannot share one. The pool has one thread per usable core, at
-most MAX_DRAW_THREADS (4), and draws as many rows ahead as it has
-threads, so memory stays O(m); numpy releases the GIL while it fills a
-row. Shorter rows, a process with one usable core (`taskset -c 0`) and a
-multiprocessing child, such as a run_replications worker whose siblings
-already use the cores, draw the rows in the round loop. Every row is
-drawn from the start of its own stream, so the release is the same bytes
-for any number of cores. The pool is shut down before reversed_peel
-returns or raises.
+A round only needs the argmin of the keys, and only survivors whose
+quantile lies near the bottom can plausibly win, so a round draws noise
+for those alone and samples exactly whether any other survivor beats
+them (see _peel_rounds). On 50,000 p-values a round draws tens to a few
+hundred noise values instead of 50,000, all from one generator on
+stream.child(1); memory is O(m). How much a round draws depends on how many quantiles lie near the
+bottom of the sorted keys; the distribution of the peel order does not.
 
 The forward baseline instead adds fresh noise each round, as the classic
 private BH pipeline does.
@@ -40,26 +23,20 @@ private BH pipeline does.
 from __future__ import annotations
 
 import math
-import sys
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .numerics import RandomStream, rekeyed, std_normal_quantile, usable_cores
+from .numerics import RandomStream, ndtr, ndtri, std_normal_quantile
 from .privacy import NoiseScales
 from .transform import NOISE_KINDS, clamp_pvalues, draw_noise, key_to_noisy_p
 
 __all__ = ["PeelOutcome", "reversed_peel", "forward_peel_baseline"]
 
-# Rows of at least this many values are drawn on worker threads (see
-# _draw_threads). On 2 cores, threads were slower than the round loop for
-# Gaussian rows up to about 8,000 values and faster from 10,000.
-THREADED_MIN_M = 10_000
-# at most this many threads draw, and at most this many rows are drawn ahead
-MAX_DRAW_THREADS = 4
+# A round's head is made wide enough that the expected number of tail
+# survivors that beat it is at most this (see _head_width). Any width gives
+# the same distribution; this one sets how rarely the tail is sampled.
+TAIL_CANDIDATES = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,10 +60,11 @@ def reversed_peel(
 ) -> PeelOutcome:
     """Peel m_peel hypotheses and release their inference values.
 
-    Round k draws its noise from stream.child(k) at scale scales.sigma1
-    and the inference row from stream.child(0) at scales.sigma0. A zero
-    scale draws nothing and uses the clamped p-values themselves, so with
-    sigma1 = 0 the peel order is the stable sort order of the p-values.
+    The rounds draw their noise from stream.child(1) at scale
+    scales.sigma1, and the inference row is drawn from stream.child(0) at
+    scales.sigma0. A zero scale draws nothing and uses the clamped
+    p-values themselves, so with sigma1 = 0 the peel order is the stable
+    sort order of the p-values.
 
     Args:
         pvals: raw p-values, nonempty.
@@ -99,84 +77,122 @@ def reversed_peel(
     if m_peel < 1:
         raise ValueError("m_peel must be a positive integer")
     if m_peel > pc.size:
-        raise ValueError("m_peel cannot exceed the number of hypotheses")
+        raise ValueError(
+            f"m_peel ({m_peel}) cannot exceed the number of hypotheses ({pc.size})")
     if noise_kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     q = None if scales.sigma0 == scales.sigma1 == 0.0 else std_normal_quantile(pc)
     if scales.sigma1 == 0.0:
         order = np.argsort(pc, kind="stable")[:m_peel]
     else:
-        order = _peel_rounds(q, m_peel, scales.sigma1, stream, noise_kind)
+        gen = stream.child(1).generator()
+        order = _peel_rounds(q, m_peel, scales.sigma1, gen, noise_kind)
     if scales.sigma0 == 0.0:
         return PeelOutcome(order, pc[order])
     z = draw_noise(stream.child(0).generator(), scales.sigma0, pc.size, noise_kind)
     return PeelOutcome(order, key_to_noisy_p(q[order] + z[order], scales.sigma0, noise_kind))
 
 
-def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, stream: RandomStream,
+def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, gen: np.random.Generator,
                  noise_kind: str) -> np.ndarray:
-    """Peel order of rounds 1..m_peel, round k taking the first argmin over
-    the survivors of q plus a fresh row of noise from stream.child(k)."""
+    """Peel order of m_peel rounds of report-noisy-min: each round peels
+    the survivor j with the smallest key q_j + z_j, z fresh i.i.d. noise of
+    the given kind and scale with CDF F, drawn from gen. Equal keys go to
+    the survivor first in (q, index) order, so among equal p-values with
+    equal noise to the smallest index.
+
+    The survivors are kept sorted by q, with their indices; peeling one
+    moves the survivors in front of it up one place. A round draws z for
+    its head only, the survivors with q_j <= q_first + w (w from
+    _head_width), and lets M be the smallest head key. Each of the n tail
+    survivors, the rest, beats M exactly when z_j < M - q_j, which happens
+    independently with probability F(M - q_j) <= F(M - q_h), q_h the
+    smallest tail q. So the round draws N ~ Binomial(n, F(M - q_h)), picks
+    N tail survivors uniformly without replacement, and keeps each picked j
+    with probability F(M - q_j) / F(M - q_h): every tail j is then kept
+    independently with probability exactly F(M - q_j). A kept j draws z_j
+    from F conditioned on z_j < M - q_j, by inverse CDF, which is exactly
+    its law given that it beats M. A tail survivor that is not kept has
+    z_j >= M - q_j, so its key is at least M and it cannot be the argmin.
+    The round's winner, the argmin over the head and the kept survivors,
+    therefore has exactly the distribution of the argmin over a full row
+    of noise, for any w, and so has the peel order and with it the privacy
+    guarantee of report-noisy-min.
+    """
+    m = q.size
+    idx = np.argsort(q, kind="stable")
+    qs = q[idx]
+    width = _head_width(scale, m, noise_kind)
     order = np.empty(m_peel, dtype=np.intp)
-    # q with the peeled entries at +inf; each row is added into it in place
-    q_alive = q.copy()
-    with _noise_rows(stream, scale, q.size, noise_kind, m_peel) as rows:
-        for k, key in enumerate(rows):
-            np.add(q_alive, key, out=key)
-            order[k] = j = np.argmin(key)
-            q_alive[j] = np.inf
+    # round s: the survivors are qs[s:] with indices idx[s:], sorted by q;
+    # qs[:s] stays nondecreasing, so qs is searched whole
+    for s in range(m_peel):
+        e = int(qs.searchsorted(qs[s] + width, side="right"))
+        key = qs[s:e] + draw_noise(gen, scale, e - s, noise_kind)
+        best = s + int(key.argmin())
+        if e < m:
+            best = _tail_winner(qs, e, best, key[best - s], scale, gen, noise_kind)
+        order[s] = idx[best]
+        qs[s + 1:best + 1] = qs[s:best]
+        idx[s + 1:best + 1] = idx[s:best]
     return order
 
 
-def _draw_threads(m: int) -> int:
-    """Threads that draw the noise rows of a peel over m values: 1 below
-    THREADED_MIN_M and inside a multiprocessing child, whose parent
-    already keeps the cores busy, else the usable cores, at most
-    MAX_DRAW_THREADS. A process that never imported multiprocessing is no
-    child of it, so the check imports nothing."""
-    if m < THREADED_MIN_M:
-        return 1
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
-        return 1
-    return min(usable_cores(), MAX_DRAW_THREADS)
+def _tail_winner(qs, e, best, low, scale, gen, noise_kind) -> int:
+    """Position of the round's winner given the head's winner best with
+    key low: the tail survivors qs[e:] that beat low are sampled as
+    _peel_rounds describes, and the smallest key wins, the first in q
+    order among equal keys."""
+    f_head = _noise_cdf(low - qs[e], scale, noise_kind)
+    n = gen.binomial(qs.size - e, f_head)
+    if n == 0:
+        return best
+    pos = e + np.sort(gen.choice(qs.size - e, n, replace=False))
+    f = _noise_cdf(low - qs[pos], scale, noise_kind)
+    kept = gen.random(n) * f_head < f
+    pos, f = pos[kept], f[kept]
+    if pos.size == 0:
+        return best
+    key = qs[pos] + _noise_quantile((1.0 - gen.random(pos.size)) * f, scale, noise_kind)
+    i = int(key.argmin())
+    return int(pos[i]) if key[i] < low else best
 
 
-@contextmanager
-def _noise_rows(stream: RandomStream, scale: float, m: int, noise_kind: str, rounds: int):
-    """Yields the noise rows of rounds 1..rounds in order, round k's row
-    drawn from the start of stream.child(k), each a new array. The rows'
-    keys are hashed in one call. In one thread, one generator is re-keyed
-    before each row. With more than one draw thread, the upcoming rows are
-    drawn on a thread pool, each on a new generator, as many ahead as
-    there are threads; numpy releases the GIL while it fills a row. The
-    pool is shut down when the block exits, also on an exception."""
-    keys = stream.child_keys(np.arange(1, rounds + 1))
-    threads = _draw_threads(m)
-    if threads == 1:
-        gen = np.random.Generator(np.random.Philox(key=0))
-        yield (draw_noise(rekeyed(gen, key), scale, m, noise_kind) for key in keys)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    def draw(key):
-        return draw_noise(np.random.Generator(np.random.Philox(key=key)), scale, m, noise_kind)
-
-    pool = ThreadPoolExecutor(threads)
-    try:
-        yield _drawn_ahead(pool, draw, iter(keys), threads)
-    finally:
-        pool.shutdown(cancel_futures=True)
+def _head_width(scale: float, m: int, noise_kind: str) -> float:
+    """Width w of a round's head over m survivors: P(z - z' >= w) =
+    TAIL_CANDIDATES / m for independent noise values z, z'. The smallest
+    head key is at most q_first + z_first, so the expected number of tail
+    survivors that beat it is at most m P(z_first - z_j >= w) =
+    TAIL_CANDIDATES."""
+    tail = TAIL_CANDIDATES / m
+    if tail >= 0.5:
+        return 0.0
+    if noise_kind == "gaussian":
+        # z - z' is normal with standard deviation sqrt(2) scale
+        return -math.sqrt(2.0) * scale * float(ndtri(tail))
+    # z - z' of Laplace noise has P(z - z' >= b x) = exp(-x) (1 + x/2) / 2;
+    # the fixed point x = log((1 + x/2) / (2 tail)) is a contraction
+    x = -math.log(2.0 * tail)
+    for _ in range(4):
+        x = math.log((1.0 + 0.5 * x) / (2.0 * tail))
+    return scale * x
 
 
-def _drawn_ahead(pool, draw, items, depth: int):
-    """draw(x) for each x of items, in order, computed on pool at most
-    depth ahead of the one yielded."""
-    pending = deque(pool.submit(draw, x) for x in islice(items, depth))
-    while pending:
-        row = pending.popleft().result()
-        pending.extend(pool.submit(draw, x) for x in islice(items, 1))
-        yield row
+def _noise_cdf(x, scale: float, noise_kind: str):
+    """CDF of the noise at x."""
+    if noise_kind == "gaussian":
+        return ndtr(x / scale)
+    half = 0.5 * np.exp(-np.abs(x) / scale)
+    return np.where(x > 0.0, 1.0 - half, half)
+
+
+def _noise_quantile(u: np.ndarray, scale: float, noise_kind: str) -> np.ndarray:
+    """Inverse of _noise_cdf at u in (0, 1)."""
+    if noise_kind == "gaussian":
+        return scale * ndtri(u)
+    # log(2u) below 1/2 and -log(2 - 2u) above, each without cancellation
+    low = np.log(2.0 * np.minimum(u, 1.0 - u))
+    return scale * np.where(u <= 0.5, low, -low)
 
 
 def forward_peel_baseline(
@@ -201,7 +217,7 @@ def forward_peel_baseline(
     if m_peel < 1:
         raise ValueError("m_peel must be a positive integer")
     if m_peel > m:
-        raise ValueError("m_peel cannot exceed the number of hypotheses")
+        raise ValueError(f"m_peel ({m_peel}) cannot exceed the number of hypotheses ({m})")
     gen = stream.generator()
     remaining = np.arange(m)
     picked = np.empty(m_peel, dtype=np.intp)

@@ -237,7 +237,7 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
 
     Args:
         pvals: raw p-values.
-        config: test configuration; config.m_peel rows are peeled.
+        config: test configuration; config.m_peel hypotheses are peeled.
         stream: randomness source; defaults to RandomStream(config.seed).
 
     Returns:
@@ -259,7 +259,7 @@ def truncated_sup_test(
     pvals, config: TestConfig, stream: Optional[RandomStream] = None
 ) -> Release:
     """No-peeling variant: sup_test with all m values peeled at sigma1 = 0,
-    which draws no peeling rows, so all m noisy inference values enter
+    which draws no peeling noise, so all m noisy inference values enter
     selection. sigma0 is calibrated at config.m_peel as in sup_test.
     Analysis tool only; releasing all m values carries no privacy
     guarantee under the peeling calibration.
@@ -270,6 +270,7 @@ def truncated_sup_test(
     """
     p = np.asarray(pvals, dtype=float)
     if config.m_peel > p.size:
-        raise ValueError("m_peel cannot exceed the number of hypotheses")
+        raise ValueError(
+            f"m_peel ({config.m_peel}) cannot exceed the number of hypotheses ({p.size})")
     sigma0 = resolve_scales(config, config.m_peel).sigma0
     return sup_test(p, replace(config, m_peel=p.size, sigma_override=(sigma0, 0.0)), stream)

@@ -4,9 +4,12 @@ Builds the whole (1 + m_peel) x m matrices of keys Phi^-1(p) + z and of
 noisy p-values from the numerics primitives, row k from stream.child(k),
 and peels the keys row by row: round k takes the first minimiser of key
 row k over the surviving indices. Row 0 is the inference row. This is
-the literal definition the streamed `suptest.peeling.reversed_peel` must
-reproduce bit for bit; it costs 16 (1 + m_peel) m bytes, so it is for
-small test instances only.
+the eager, literal definition of reversed peeling. `suptest.peeling.
+reversed_peel` reproduces its inference row bit for bit and, with
+sigma1 = 0, its peel order; with noise its rounds draw only near the
+bottom of the keys, from other streams, so its peel order matches this
+one in distribution, not bit for bit. The oracle costs
+16 (1 + m_peel) m bytes, so it is for small test instances only.
 """
 
 from __future__ import annotations

@@ -122,7 +122,8 @@ def test_dp_test_refuses_unknown_variant_and_bad_m_peel():
     p = np.full(10, 0.5)
     with pytest.raises(ValueError, match="unknown variant"):
         dp_test(p, DworkParams(m_peel=5), 0.1, RandomStream(0), "hochberg")
-    with pytest.raises(ValueError, match="m_peel cannot exceed the number of hypotheses"):
+    with pytest.raises(ValueError,
+                       match=r"^m_peel \(11\) cannot exceed the number of hypotheses \(10\)$"):
         dp_test(p, DworkParams(m_peel=11), 0.1, RandomStream(0), "bh")
     with pytest.raises(ValueError, match="m_peel must be a positive integer"):
         forward_peel_baseline(np.log(p), 0, 1.0, RandomStream(0))

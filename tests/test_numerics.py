@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from suptest.numerics import (
     RandomStream,
     normal_laplace_cdf,
-    rekeyed,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
 )
-from suptest.transform import draw_noise
 
 
 def test_std_normal_cdf_values():
@@ -124,46 +121,3 @@ def test_random_stream_rejects_negative_identity(args, field):
 def test_random_stream_rejects_negative_child():
     with pytest.raises(ValueError, match="path"):
         RandomStream(0).child(-1)
-    with pytest.raises(ValueError, match="child indices"):
-        RandomStream(0).child_keys([0, -1])
-    with pytest.raises(ValueError, match="child indices"):
-        RandomStream(0).child_keys([2**32])
-
-
-# seeds of 0, one word, two words, and more than two words
-_SEED = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
-                  st.integers(2**64, 2**128))
-_WORD = st.integers(0, 2**32 - 1)
-# stream ids and path entries of one word and of two
-_ENTRY = st.one_of(_WORD, st.integers(2**32, 2**64 - 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=_SEED, stream_id=_ENTRY, path=st.lists(_ENTRY, max_size=4),
-       indices=st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1]), _WORD),
-                        min_size=1, max_size=8))
-def test_child_keys_equal_seed_sequence(seed, stream_id, path, indices):
-    got = RandomStream(seed, stream_id, tuple(path)).child_keys(indices)
-    want = [np.random.SeedSequence(entropy=seed, spawn_key=(stream_id, *path, k))
-            .generate_state(2, np.uint64) for k in indices]
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, np.array(want))
-
-
-@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
-@settings(max_examples=100, deadline=None)
-@given(seed=_SEED, path=st.lists(_WORD, max_size=2),
-       rows=st.lists(st.tuples(_WORD, st.integers(0, 60).map(lambda n: 2 * n + 1)),
-                     min_size=1, max_size=5))
-def test_rekeyed_generator_draws_child_rows(noise_kind, seed, path, rows):
-    # every row has odd length and is followed by a 32-bit draw, so the
-    # generator holds buffered output when it is re-keyed for the next row
-    stream = RandomStream(seed, 2, tuple(path))
-    indices = [k for k, _ in rows]
-    gen = np.random.Generator(np.random.Philox(key=0))
-    gen.random(3, dtype=np.float32)
-    for (k, size), key in zip(rows, stream.child_keys(indices)):
-        got = draw_noise(rekeyed(gen, key), 0.7, size, noise_kind)
-        want = draw_noise(stream.child(k).generator(), 0.7, size, noise_kind)
-        assert np.array_equal(got, want)
-        gen.random(1, dtype=np.float32)

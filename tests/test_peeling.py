@@ -1,14 +1,12 @@
 import hashlib
 import math
-import multiprocessing
-import os
-import sys
-import threading
-from types import SimpleNamespace
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import chdtrc
 
 from dense_oracle import dense_reversed_peel, generate_noisy_matrix
 from forward_oracle import forward_peel_delete
@@ -20,64 +18,45 @@ from suptest.privacy import NoiseScales, PrivacyBudget
 from suptest.thresholds import TestConfig, sup_test
 
 
-class _FixedStream:
-    """Stream stand-in whose child k draws on a Philox keyed (k, 0), from
-    generator() and from child_keys alike; _peel_keys makes every draw
-    from key (k, 0) return noise row k, so with p = 0.5 (quantile 0) the
-    peeling keys are the rows themselves."""
-
-    def __init__(self, path=()):
-        self.path = path
-
-    def child(self, index):
-        return _FixedStream(self.path + (index,))
-
-    def generator(self):
-        return np.random.Generator(np.random.Philox(key=self.path[-1]))
-
-    def child_keys(self, indices):
-        k = np.asarray(indices, dtype=np.uint64)
-        return np.column_stack([k, np.zeros_like(k)])
-
-
-def _peel_keys(monkeypatch, rows, noise_kind="gaussian"):
-    rows = np.asarray(rows, dtype=float)
+def _peel_keys(monkeypatch, inference, rounds, noise_kind="gaussian"):
+    """reversed_peel of p = 0.5 everywhere, whose quantiles are all 0, with
+    the noise stubbed: round k's draw returns rounds[k], its keys over the
+    survivors in index order, and the inference row returns inference."""
+    rows = [np.asarray(r, dtype=float) for r in [*rounds, inference]]
 
     def draw(gen, scale, size, kind):
-        return rows[gen.bit_generator.state["state"]["key"][0]].copy()
+        row = rows.pop(0)
+        assert row.size == size
+        return row.copy()
     monkeypatch.setattr(peeling, "draw_noise", draw)
-    p = np.full(rows.shape[1], 0.5)
-    return reversed_peel(p, rows.shape[0] - 1, NoiseScales(1.0, 1.0), _FixedStream(),
-                         noise_kind)
+    p = np.full(len(inference), 0.5)
+    return reversed_peel(p, len(rounds), NoiseScales(1.0, 1.0), RandomStream(0), noise_kind)
 
 
 def test_reversed_peel_hand_instance(monkeypatch):
-    # round 1 picks index 2, round 2 then picks index 0
-    rows = [
-        [0.10, 0.20, 0.30, 0.40],   # inference noise
-        [0.50, 0.60, 0.05, 0.70],
-        [0.01, 0.02, 0.00, 0.90],   # index 2 already gone -> index 0
-    ]
-    out = _peel_keys(monkeypatch, rows)
+    # round 1 picks index 2, round 2 then picks index 0 of survivors 0, 1, 3
+    out = _peel_keys(monkeypatch, inference=[0.10, 0.20, 0.30, 0.40],
+                     rounds=[[0.50, 0.60, 0.05, 0.70], [0.01, 0.02, 0.90]])
     assert np.array_equal(out.peeled_indices, [2, 0])
     expect = std_normal_cdf(np.array([0.30, 0.10]) / math.sqrt(2))
     assert np.array_equal(out.inference_pvals, expect)
 
 
 def test_reversed_peel_tie_breaks_to_smallest_index(monkeypatch):
-    rows = [
-        [0.1, 0.2, 0.3],
-        [0.5, 0.5, 0.5],
-        [0.7, 0.7, 0.7],
-    ]
-    out = _peel_keys(monkeypatch, rows)
+    out = _peel_keys(monkeypatch, [0.1, 0.2, 0.3], [[0.5, 0.5, 0.5], [0.7, 0.7]])
     assert np.array_equal(out.peeled_indices, [0, 1])
     # distinct keys peel by size, also where their noisy p-values all clip
     # to 1e-300
     for keys in ([-6.0, -7.0, -8.0], [-800.0, -900.0, -1000.0]):
         for kind in ("gaussian", "laplace"):
-            out = _peel_keys(monkeypatch, [[0.0, 0.0, 0.0], keys, keys], kind)
+            out = _peel_keys(monkeypatch, [0.0, 0.0, 0.0], [keys, keys[:2]], kind)
             assert np.array_equal(out.peeled_indices, [2, 1])
+    # with zero noise the keys are the quantiles: equal p-values peel in
+    # index order, and every survivor lies in the head
+    monkeypatch.setattr(peeling, "draw_noise", lambda gen, scale, size, kind: np.zeros(size))
+    p = np.array([0.3, 0.1, 0.3, 0.1, 0.5])
+    out = reversed_peel(p, 5, NoiseScales(0.0, 1.0), RandomStream(0))
+    assert np.array_equal(out.peeled_indices, [1, 3, 0, 2, 4])
 
 
 def test_reversed_peel_full_depth():
@@ -95,7 +74,8 @@ def test_reversed_peel_full_depth():
 
 def test_reversed_peel_rejects_overdeep_matrix():
     p = np.random.default_rng(0).uniform(size=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m_peel \(4\) cannot exceed the number of "
+                                         r"hypotheses \(3\)$"):
         reversed_peel(p, 4, NoiseScales(0.1, 0.2), RandomStream(0))
 
 
@@ -124,16 +104,18 @@ def _peel_cases(draw):
 
 
 def _assert_equals_dense_oracle(pvals, m_peel, scales, stream, noise_kind):
+    """The peel releases the dense oracle's inference row at the indices it
+    peels, and with sigma1 = 0 it peels the oracle's order. With noise the
+    order matches the oracle's in distribution only; see
+    test_reversed_peel_first_picks_match_dense_oracle."""
     out = reversed_peel(pvals, m_peel, scales, stream, noise_kind)
     keys, noisy = generate_noisy_matrix(pvals, m_peel, scales, stream, noise_kind)
-    order, inference = dense_reversed_peel(keys, noisy)
-    assert np.array_equal(out.peeled_indices, order)
-    assert np.array_equal(out.inference_pvals, inference)
-    # each round's pick has the smallest noisy p-value among the survivors
-    alive = np.ones(pvals.size, dtype=bool)
-    for k, j in enumerate(order, start=1):
-        assert noisy[k, j] == noisy[k, alive].min()
-        alive[j] = False
+    order, _ = dense_reversed_peel(keys, noisy)
+    if scales.sigma1 == 0.0:
+        assert np.array_equal(out.peeled_indices, order)
+    assert np.unique(out.peeled_indices).size == m_peel
+    assert np.array_equal(out.inference_pvals, noisy[0, out.peeled_indices])
+    return out
 
 
 @pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
@@ -150,17 +132,25 @@ def test_reversed_peel_equals_dense_oracle(noise_kind, case):
 def test_reversed_peel_ties_near_one_equal_dense_oracle(noise_kind, m, scale, seed):
     # every p-value at 1 with little noise: the keys sit where the CDF is
     # within a few ulps of 1, so distinct keys often share a noisy p-value,
-    # and the rounds still peel by key
-    _assert_equals_dense_oracle(np.ones(m), m, NoiseScales(scale, scale), RandomStream(seed),
-                                noise_kind)
+    # and the rounds still peel by key. The quantiles are all equal, so
+    # every survivor is in the head: round k draws the keys of the
+    # survivors, in index order, from the rounds' one generator.
+    stream = RandomStream(seed)
+    out = _assert_equals_dense_oracle(np.ones(m), m, NoiseScales(scale, scale), stream,
+                                      noise_kind)
+    q = peeling.std_normal_quantile(peeling.clamp_pvalues(1.0))
+    gen = stream.child(1).generator()
+    alive, order = list(range(m)), []
+    while alive:
+        key = q + peeling.draw_noise(gen, scale, len(alive), noise_kind)
+        order.append(alive.pop(int(np.argmin(key))))
+    assert out.peeled_indices.tolist() == order
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
-def test_reversed_peel_builds_one_stream_generator(monkeypatch, noise_kind, threads):
-    # the m_peel noise rows are keyed from one batch of keys; only the
-    # inference row builds a generator from its stream
-    monkeypatch.setattr(peeling, "_draw_threads", lambda m: threads)
+def test_reversed_peel_builds_two_stream_generators(monkeypatch, noise_kind):
+    # the rounds draw from one generator, on stream.child(1), and the
+    # inference row from its own, on stream.child(0)
     built = []
     generator = RandomStream.generator
 
@@ -171,7 +161,81 @@ def test_reversed_peel_builds_one_stream_generator(monkeypatch, noise_kind, thre
     p = np.random.default_rng(15).uniform(size=500)
     out = reversed_peel(p, 50, NoiseScales(0.3, 0.6), RandomStream(6), noise_kind)
     assert out.peeled_indices.size == 50
-    assert built == [(0,)]
+    assert built == [(1,), (0,)]
+
+
+def _homogeneity_pvalue(a: Counter, b: Counter) -> float:
+    """Chi-square test that two samples of outcomes share one distribution;
+    outcomes seen fewer than 10 times in both samples together are pooled
+    into one cell."""
+    cells, rare = [], [0, 0]
+    for outcome in a.keys() | b.keys():
+        pair = [a[outcome], b[outcome]]
+        if sum(pair) < 10:
+            rare = [rare[0] + pair[0], rare[1] + pair[1]]
+        else:
+            cells.append(pair)
+    if sum(rare):
+        cells.append(rare)
+    obs = np.array(cells, dtype=float)
+    expected = obs.sum(axis=1, keepdims=True) * obs.sum(axis=0) / obs.sum()
+    return float(chdtrc(len(cells) - 1, ((obs - expected) ** 2 / expected).sum()))
+
+
+@pytest.mark.parametrize("tail_candidates", [peeling.TAIL_CANDIDATES, 50.0],
+                         ids=["default", "narrow"])
+@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
+def test_reversed_peel_first_picks_match_dense_oracle(monkeypatch, noise_kind,
+                                                      tail_candidates):
+    # quantiles 0, 0, 0.02, ...: near-tied keys at the bottom. The default
+    # head holds every survivor here; "narrow" holds only the lowest
+    # quantiles, so most rounds keep tail survivors that beat the head.
+    monkeypatch.setattr(peeling, "TAIL_CANDIDATES", tail_candidates)
+    p = std_normal_cdf(np.array([0.0, 0.0, 0.02, 0.1, 0.3, 0.6, 1.0, 2.0]))
+    scales, n = NoiseScales(0.0, 0.5), 4_000
+    kept_rounds = []
+    quantile = peeling._noise_quantile
+
+    def counting_quantile(u, scale, kind):
+        kept_rounds.append(u.size)
+        return quantile(u, scale, kind)
+    monkeypatch.setattr(peeling, "_noise_quantile", counting_quantile)
+    lazy = Counter(tuple(reversed_peel(p, 3, scales, RandomStream(seed), noise_kind)
+                         .peeled_indices) for seed in range(n))
+    eager = Counter(
+        tuple(dense_reversed_peel(*generate_noisy_matrix(
+            p, 3, scales, RandomStream(n + seed), noise_kind))[0])
+        for seed in range(n))
+    assert _homogeneity_pvalue(lazy, eager) > 1e-3
+    if tail_candidates == 50.0:
+        assert len(kept_rounds) > 3 * n / 2
+
+
+@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
+def test_peel_draws_under_one_percent_of_m_per_round(monkeypatch, noise_kind):
+    # a round draws noise for the bottom of the keys only, not a row of m
+    m, m_peel = 50_000, 200
+    g = np.random.default_rng(16)
+    p = g.uniform(size=m)
+    p[:500] = std_normal_cdf(g.normal(size=500) - 4.0)
+    drawn = []
+    draw, quantile = peeling.draw_noise, peeling._noise_quantile
+
+    def counting_draw(gen, scale, size, kind):
+        drawn.append(size)
+        return draw(gen, scale, size, kind)
+
+    def counting_quantile(u, scale, kind):
+        drawn.append(u.size)
+        return quantile(u, scale, kind)
+    monkeypatch.setattr(peeling, "draw_noise", counting_draw)
+    monkeypatch.setattr(peeling, "_noise_quantile", counting_quantile)
+    cfg = TestConfig(family="bh", budget=PrivacyBudget.approx_dp(0.5, 1e-3), gs=1e-4,
+                     m_peel=m_peel, noise_kind=noise_kind)
+    sup_test(p, cfg, RandomStream(17))
+    # the inference row draws m values; the rest are the rounds'
+    assert drawn.count(m) >= 1
+    assert (sum(drawn) - m) / m_peel < 0.01 * m
 
 
 def test_forward_peel_zero_noise_is_sorted_order():
@@ -237,52 +301,49 @@ def test_peel_outcome_is_plain_record():
     assert out.inference_pvals[0] == 0.5
 
 
-# ---------------------------------------------------------------- draw threads
+# ---------------------------------------------------------------- threads
 
-# above the size where the rows are drawn on threads
-_M_THREADED = peeling.THREADED_MIN_M + 2_000
+_M_LARGE = 12_000
 
 
 def _digest(*arrays):
     return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
 
 
-def _same_for_any_thread_count(monkeypatch, run):
-    # 1 is the serial loop; 2 and 4 draw on a pool even on a one-core host;
-    # None leaves the count at its derived value
-    derived = peeling._draw_threads
-    digests = {}
-    for threads in (1, 2, 4, None):
-        monkeypatch.setattr(peeling, "_draw_threads",
-                            derived if threads is None else lambda m, t=threads: t)
-        digests[threads] = run()
-    assert len(set(digests.values())) == 1, digests
+def _same_for_any_thread_count(run):
+    # run() on the calling thread, then on 2 and on 4 threads at once
+    digests = [run()]
+    for threads in (2, 4):
+        with ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(run) for _ in range(threads)]
+            digests += [f.result(timeout=120) for f in futures]
+    assert len(set(digests)) == 1, digests
 
 
 @pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
-def test_reversed_peel_same_bytes_for_any_thread_count(monkeypatch, noise_kind):
-    p = np.random.default_rng(8).uniform(size=_M_THREADED)
+def test_reversed_peel_same_bytes_for_any_thread_count(noise_kind):
+    p = np.random.default_rng(8).uniform(size=_M_LARGE)
     p[:50] *= 1e-6
 
     def run():
         out = reversed_peel(p, 60, NoiseScales(0.3, 0.6), RandomStream(5), noise_kind)
         return _digest(out.peeled_indices, out.inference_pvals)
-    _same_for_any_thread_count(monkeypatch, run)
+    _same_for_any_thread_count(run)
 
 
-def test_reversed_peel_all_p_one_same_bytes_for_any_thread_count(monkeypatch):
+def test_reversed_peel_all_p_one_same_bytes_for_any_thread_count():
     # all p = 1 with tiny noise: the noisy p-values tie within ulps of 1
-    p, scales = np.ones(_M_THREADED), NoiseScales(0.01, 0.01)
+    p, scales = np.ones(_M_LARGE), NoiseScales(0.01, 0.01)
 
     def run():
         out = reversed_peel(p, 12, scales, RandomStream(9), "gaussian")
         return _digest(out.peeled_indices, out.inference_pvals)
-    _same_for_any_thread_count(monkeypatch, run)
+    _same_for_any_thread_count(run)
 
 
 @pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
-def test_sup_test_same_bytes_for_any_thread_count(monkeypatch, noise_kind):
-    p = np.random.default_rng(10).uniform(size=_M_THREADED)
+def test_sup_test_same_bytes_for_any_thread_count(noise_kind):
+    p = np.random.default_rng(10).uniform(size=_M_LARGE)
     p[:100] *= 1e-7
     cfg = TestConfig(family="bh", budget=PrivacyBudget.approx_dp(0.5, 1e-3), m_peel=80,
                      noise_kind=noise_kind)
@@ -291,11 +352,11 @@ def test_sup_test_same_bytes_for_any_thread_count(monkeypatch, noise_kind):
         res = sup_test(p, cfg, RandomStream(11))
         return _digest(res.peeled.peeled_indices, res.peeled.inference_pvals,
                        res.rejected_indices)
-    _same_for_any_thread_count(monkeypatch, run)
+    _same_for_any_thread_count(run)
 
 
-def test_adaptive_sup_test_same_bytes_for_any_thread_count(monkeypatch):
-    p = np.random.default_rng(12).uniform(size=_M_THREADED)
+def test_adaptive_sup_test_same_bytes_for_any_thread_count():
+    p = np.random.default_rng(12).uniform(size=_M_LARGE)
     p[:100] *= 1e-7
     cfg = TestConfig(family="bh", budget=PrivacyBudget.approx_dp(0.5, 1e-3))
 
@@ -303,42 +364,4 @@ def test_adaptive_sup_test_same_bytes_for_any_thread_count(monkeypatch):
         res = adaptive_sup_test(p, cfg, AdaptiveConfig(m_tilde=40), RandomStream(13))
         return _digest(res.peeled.peeled_indices, res.peeled.inference_pvals,
                        res.rejected_indices, np.array([res.m_peel]))
-    _same_for_any_thread_count(monkeypatch, run)
-
-
-def test_draw_threads_rule(monkeypatch):
-    # reads the affinity mask and the multiprocessing state; starts nothing
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    big = peeling.THREADED_MIN_M
-    assert peeling._draw_threads(big - 1) == 1
-    assert peeling._draw_threads(big) == peeling.MAX_DRAW_THREADS == 4
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert peeling._draw_threads(big) == 2
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-    assert peeling._draw_threads(big) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    # inside a multiprocessing child, such as a run_replications worker
-    monkeypatch.setattr(multiprocessing, "parent_process", lambda: SimpleNamespace())
-    assert peeling._draw_threads(big) == 1
-    # a process that never imported multiprocessing is not its child
-    monkeypatch.delitem(sys.modules, "multiprocessing")
-    assert peeling._draw_threads(big) == 2
-
-
-def test_threaded_release_leaves_no_thread_behind(monkeypatch):
-    monkeypatch.setattr(peeling, "_draw_threads", lambda m: 2)
-    p = np.random.default_rng(14).uniform(size=_M_THREADED)
-    before = threading.active_count()
-    reversed_peel(p, 30, NoiseScales(0.3, 0.6), RandomStream(1))
-    assert threading.active_count() == before
-    draw = peeling.draw_noise
-    failing_key = RandomStream(1).child_keys([7])[0]
-
-    def failing_draw(gen, scale, size, noise_kind):
-        if np.array_equal(gen.bit_generator.state["state"]["key"], failing_key):
-            raise RuntimeError("draw failed")
-        return draw(gen, scale, size, noise_kind)
-    monkeypatch.setattr(peeling, "draw_noise", failing_draw)
-    with pytest.raises(RuntimeError, match="draw failed"):
-        reversed_peel(p, 30, NoiseScales(0.3, 0.6), RandomStream(1))
-    assert threading.active_count() == before
+    _same_for_any_thread_count(run)

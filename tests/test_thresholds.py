@@ -325,6 +325,13 @@ def test_every_method_rejects_bad_pvalues(method, bad):
         run_method(MethodSpec(method, options={"m_peel": 5}), p, 0.1, RandomStream(1))
 
 
+@pytest.mark.parametrize("release", ["reversed_peel", "sup_test", "truncated_sup_test"])
+def test_releases_name_both_counts_when_m_peel_exceeds_m(release):
+    with pytest.raises(ValueError, match=r"^m_peel \(3\) cannot exceed the number of "
+                                         r"hypotheses \(2\)$"):
+        _RELEASES[release]([0.5, 1e-9])
+
+
 def test_exact_zero_and_one_pvalues_are_valid():
     p = np.array([0.0, 1.0, 0.5, 1e-9])
     for release in _RELEASES.values():
