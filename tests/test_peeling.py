@@ -147,10 +147,12 @@ def test_reversed_peel_ties_near_one_equal_dense_oracle(noise_kind, m, scale, se
     assert out.peeled_indices.tolist() == order
 
 
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
-def test_reversed_peel_builds_two_stream_generators(monkeypatch, noise_kind):
-    # the rounds draw from one generator, on stream.child(1), and the
-    # inference row from its own, on stream.child(0)
+def test_reversed_peel_builds_one_stream_generator(monkeypatch, noise_kind, threads):
+    # each stream builds one generator per call: the rounds draw from
+    # stream.child(1), the inference row from stream.child(0), however
+    # many calls run at once
     built = []
     generator = RandomStream.generator
 
@@ -159,9 +161,15 @@ def test_reversed_peel_builds_two_stream_generators(monkeypatch, noise_kind):
         return generator(stream)
     monkeypatch.setattr(RandomStream, "generator", counting_generator)
     p = np.random.default_rng(15).uniform(size=500)
-    out = reversed_peel(p, 50, NoiseScales(0.3, 0.6), RandomStream(6), noise_kind)
-    assert out.peeled_indices.size == 50
-    assert built == [(1,), (0,)]
+
+    def run():
+        return reversed_peel(p, 50, NoiseScales(0.3, 0.6), RandomStream(6), noise_kind)
+    with ThreadPoolExecutor(threads) as pool:
+        outs = [f.result(timeout=120) for f in [pool.submit(run) for _ in range(threads)]]
+    assert all(out.peeled_indices.size == 50 for out in outs)
+    if threads == 1:
+        assert built == [(1,), (0,)]
+    assert Counter(built) == Counter({(1,): threads, (0,): threads})
 
 
 def _homogeneity_pvalue(a: Counter, b: Counter) -> float:
