@@ -6,7 +6,8 @@ the same threshold families and step rule (thresholds.reject_peeled).
 
 dp_test, the log-scale comparator of Dwork, Su & Zhang (J. Privacy &
 Confidentiality 2021), floors the p-values at nu, forward-peels n noisy
-logs (n = m' for bh, m for bonf) and steps up against log thresholds
+logs (n = m' for bh, m for bonf) by report-noisy-min with Laplace noise,
+sampled by peeling's lazy rounds, and steps up against log thresholds
 deflated by a privacy penalty; its Laplace scale drops the penalty's last log:
 
     bh    log(alpha j / m) - eta sqrt(10 m' ln(1/delta) ln(6 m'/alpha)) / eps

@@ -13,11 +13,11 @@ quantile lies near the bottom can plausibly win, so a round draws noise
 for those alone and samples exactly whether any other survivor beats
 them (see _peel_rounds). On 50,000 p-values a round draws tens to a few
 hundred noise values instead of 50,000, all from one generator on
-stream.child(1); memory is O(m). How much a round draws depends on how many quantiles lie near the
-bottom of the sorted keys; the distribution of the peel order does not.
+stream.child(1); memory is O(m). How much a round draws depends on the
+quantiles near the bottom of the keys; the peel order's law does not.
 
-The forward baseline instead adds fresh noise each round, as the classic
-private BH pipeline does.
+The forward baseline of the log-scale comparators runs the same rounds
+with Laplace noise on log p-values, and keeps each round's winning key.
 """
 
 from __future__ import annotations
@@ -74,11 +74,7 @@ def reversed_peel(
         noise_kind: "gaussian" or "laplace".
     """
     pc = clamp_pvalues(pvals)
-    if m_peel < 1:
-        raise ValueError("m_peel must be a positive integer")
-    if m_peel > pc.size:
-        raise ValueError(
-            f"m_peel ({m_peel}) cannot exceed the number of hypotheses ({pc.size})")
+    _check_depth(m_peel, pc.size)
     if noise_kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     q = None if scales.sigma0 == scales.sigma1 == 0.0 else std_normal_quantile(pc)
@@ -86,16 +82,23 @@ def reversed_peel(
         order = np.argsort(pc, kind="stable")[:m_peel]
     else:
         gen = stream.child(1).generator()
-        order = _peel_rounds(q, m_peel, scales.sigma1, gen, noise_kind)
+        order = _peel_rounds(q, m_peel, scales.sigma1, gen, noise_kind)[0]
     if scales.sigma0 == 0.0:
         return PeelOutcome(order, pc[order])
     z = draw_noise(stream.child(0).generator(), scales.sigma0, pc.size, noise_kind)
     return PeelOutcome(order, key_to_noisy_p(q[order] + z[order], scales.sigma0, noise_kind))
 
 
+def _check_depth(m_peel: int, m: int) -> None:
+    if m_peel < 1:
+        raise ValueError("m_peel must be a positive integer")
+    if m_peel > m:
+        raise ValueError(f"m_peel ({m_peel}) cannot exceed the number of hypotheses ({m})")
+
+
 def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, gen: np.random.Generator,
-                 noise_kind: str) -> np.ndarray:
-    """Peel order of m_peel rounds of report-noisy-min: each round peels
+                 noise_kind: str) -> tuple:
+    """(order, won) of m_peel rounds of report-noisy-min: each round peels
     the survivor j with the smallest key q_j + z_j, z fresh i.i.d. noise of
     the given kind and scale with CDF F, drawn from gen. Equal keys go to
     the survivor first in (q, index) order, so among equal p-values with
@@ -117,45 +120,51 @@ def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, gen: np.random.Genera
     The round's winner, the argmin over the head and the kept survivors,
     therefore has exactly the distribution of the argmin over a full row
     of noise, for any w, and so has the peel order and with it the privacy
-    guarantee of report-noisy-min.
+    guarantee of report-noisy-min. won[s], the key of order[s], is round
+    s's smallest key, and (winner, winning key) has the eager joint law
+    too: the head keys are exact draws, the kept tail keys exact
+    conditional draws, and a survivor not kept has a key of at least M,
+    so it is neither the argmin nor the minimum.
     """
     m = q.size
     idx = np.argsort(q, kind="stable")
     qs = q[idx]
     width = _head_width(scale, m, noise_kind)
     order = np.empty(m_peel, dtype=np.intp)
+    won = np.empty(m_peel)
     # round s: the survivors are qs[s:] with indices idx[s:], sorted by q;
     # qs[:s] stays nondecreasing, so qs is searched whole
     for s in range(m_peel):
         e = int(qs.searchsorted(qs[s] + width, side="right"))
         key = qs[s:e] + draw_noise(gen, scale, e - s, noise_kind)
         best = s + int(key.argmin())
+        low = key[best - s]
         if e < m:
-            best = _tail_winner(qs, e, best, key[best - s], scale, gen, noise_kind)
-        order[s] = idx[best]
+            best, low = _tail_winner(qs, e, best, low, scale, gen, noise_kind)
+        order[s], won[s] = idx[best], low
         qs[s + 1:best + 1] = qs[s:best]
         idx[s + 1:best + 1] = idx[s:best]
-    return order
+    return order, won
 
 
-def _tail_winner(qs, e, best, low, scale, gen, noise_kind) -> int:
-    """Position of the round's winner given the head's winner best with
-    key low: the tail survivors qs[e:] that beat low are sampled as
+def _tail_winner(qs, e, best, low, scale, gen, noise_kind) -> tuple:
+    """(position, key) of the round's winner given the head's winner best
+    with key low: the tail survivors qs[e:] that beat low are sampled as
     _peel_rounds describes, and the smallest key wins, the first in q
     order among equal keys."""
     f_head = _noise_cdf(low - qs[e], scale, noise_kind)
     n = gen.binomial(qs.size - e, f_head)
     if n == 0:
-        return best
+        return best, low
     pos = e + np.sort(gen.choice(qs.size - e, n, replace=False))
     f = _noise_cdf(low - qs[pos], scale, noise_kind)
     kept = gen.random(n) * f_head < f
     pos, f = pos[kept], f[kept]
     if pos.size == 0:
-        return best
+        return best, low
     key = qs[pos] + _noise_quantile((1.0 - gen.random(pos.size)) * f, scale, noise_kind)
     i = int(key.argmin())
-    return int(pos[i]) if key[i] < low else best
+    return (int(pos[i]), key[i]) if key[i] < low else (best, low)
 
 
 def _head_width(scale: float, m: int, noise_kind: str) -> float:
@@ -203,33 +212,19 @@ def forward_peel_baseline(
 ) -> tuple:
     """Forward peeling on the log scale with fresh noise every round.
 
-    Each round adds i.i.d. Laplace(laplace_scale) noise to the logs of the
-    surviving p-values, peels the minimizer (ties toward the smallest
-    index), and records its noisy value.
+    Each round is report-noisy-min with i.i.d. Laplace(laplace_scale)
+    noise on the surviving logs, drawn by _peel_rounds from
+    stream.generator(), and records the winner's noisy value. With
+    laplace_scale = 0 the order is the stable sort order of the logs.
 
     Returns:
         (indices, noisy_values): both length m_peel, in peel order.
     """
     if not 0.0 <= laplace_scale < math.inf:
         raise ValueError("laplace_scale must be finite and nonnegative")
-    work = np.asarray(log_pvals, dtype=float).copy()
-    m = work.size
-    if m_peel < 1:
-        raise ValueError("m_peel must be a positive integer")
-    if m_peel > m:
-        raise ValueError(f"m_peel ({m_peel}) cannot exceed the number of hypotheses ({m})")
-    gen = stream.generator()
-    remaining = np.arange(m)
-    picked = np.empty(m_peel, dtype=np.intp)
-    values = np.empty(m_peel)
-    noisy = np.empty(m)
-    # the survivors stay in index order in work[:n] and remaining[:n]; a
-    # peeled entry is dropped by shifting the tail after it down by one
-    for n in range(m, m - m_peel, -1):
-        row = np.add(work[:n], gen.laplace(0.0, laplace_scale, n), out=noisy[:n])
-        pos = int(np.argmin(row))
-        picked[m - n] = remaining[pos]
-        values[m - n] = row[pos]
-        work[pos:n - 1] = work[pos + 1:n]
-        remaining[pos:n - 1] = remaining[pos + 1:n]
-    return picked, values
+    logs = np.asarray(log_pvals, dtype=float)
+    _check_depth(m_peel, logs.size)
+    if laplace_scale == 0.0:
+        order = np.argsort(logs, kind="stable")[:m_peel]
+        return order, logs[order]
+    return _peel_rounds(logs, m_peel, laplace_scale, stream.generator(), "laplace")

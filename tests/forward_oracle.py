@@ -2,9 +2,11 @@
 
 The literal loop of the Dwork, Su & Zhang forward peeling as first written:
 each round adds a fresh Laplace row to the surviving log p-values, peels
-the first minimiser, and drops it from both arrays with `np.delete`. The
-compacting loop in `suptest.peeling.forward_peel_baseline` must reproduce
-it bit for bit. Each round allocates, so it is for test instances only.
+the first minimiser, and drops it from both arrays with `np.delete`.
+`suptest.peeling.forward_peel_baseline` reproduces it bit for bit with
+laplace_scale = 0; with noise its rounds draw only near the bottom of the
+logs, so its picks and noisy values match these in distribution, not bit
+for bit. Each round allocates, so it is for test instances only.
 """
 
 from __future__ import annotations

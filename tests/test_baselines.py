@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from classic_oracle import classic_procedure as classic_oracle
 from forward_oracle import forward_peel_delete
+from suptest import peeling
 from suptest.baselines import (
     DworkParams,
     classic_procedure,
@@ -16,6 +18,7 @@ from suptest.baselines import (
 from suptest.numerics import RandomStream
 from suptest.peeling import forward_peel_baseline
 from suptest.thresholds import FAMILIES
+from test_peeling import _homogeneity_pvalue
 
 
 def test_classic_bh_hand_trace():
@@ -178,9 +181,37 @@ def test_dp_test_matches_docstring_oracle(pvals, variant, alpha, eta, eps, nu,
     m_peel = 1 + round(peel_share * (p.size - 1))
     params = DworkParams(eta=eta, nu=nu, eps=eps, delta=1e-3, m_peel=m_peel,
                          laplace_scale=laplace_scale)
+    # bit for bit without noise; with noise the lazy forward peel matches
+    # the oracle's eager loop in distribution only (the frequency test
+    # below), so a noisy run is checked for what any run must hold
     got = dp_test(p, params, alpha, RandomStream(seed), variant, penalty)
-    want = _dp_oracle(p, params, alpha, RandomStream(seed), variant, penalty)
-    assert got.tolist() == want
+    if laplace_scale == 0.0:
+        assert got.tolist() == _dp_oracle(p, params, alpha, RandomStream(seed), variant,
+                                          penalty)
+    else:
+        n = m_peel if variant == "bh" else p.size
+        assert got.size <= n and np.all(np.diff(got) > 0)
+        assert np.all((0 <= got) & (got < p.size))
+        again = dp_test(p, params, alpha, RandomStream(seed), variant, penalty)
+        assert got.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize("tail_candidates", [peeling.TAIL_CANDIDATES, 50.0],
+                         ids=["default", "narrow"])
+@pytest.mark.parametrize("variant", ["bh", "bonf"])
+def test_dp_test_rejection_sets_match_docstring_oracle(monkeypatch, variant,
+                                                       tail_candidates):
+    # logs a few noise scales apart around the thresholds, so the rejection
+    # set varies from run to run; "narrow" makes every round sample the tail
+    monkeypatch.setattr(peeling, "TAIL_CANDIDATES", tail_candidates)
+    p = np.array([1e-4, 1e-4, 3e-4, 1e-3, 0.01, 0.05, 0.2, 0.9])
+    params, alpha, n = DworkParams(m_peel=4, laplace_scale=1.0), 0.002, 4_000
+    lazy = Counter(tuple(dp_test(p, params, alpha, RandomStream(seed), variant).tolist())
+                   for seed in range(n))
+    eager = Counter(tuple(_dp_oracle(p, params, alpha, RandomStream(n + seed), variant, None))
+                    for seed in range(n))
+    assert len(lazy) > 10
+    assert _homogeneity_pvalue(lazy, eager) > 1e-3
 
 
 def test_dp_penalty_golden_values():

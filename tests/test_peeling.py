@@ -12,6 +12,7 @@ from dense_oracle import dense_reversed_peel, generate_noisy_matrix
 from forward_oracle import forward_peel_delete
 from suptest import peeling
 from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
+from suptest.baselines import DworkParams, dp_test
 from suptest.numerics import RandomStream, std_normal_cdf
 from suptest.peeling import PeelOutcome, forward_peel_baseline, reversed_peel
 from suptest.privacy import NoiseScales, PrivacyBudget
@@ -219,9 +220,10 @@ def test_reversed_peel_first_picks_match_dense_oracle(monkeypatch, noise_kind,
         assert len(kept_rounds) > 3 * n / 2
 
 
-@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
-def test_peel_draws_under_one_percent_of_m_per_round(monkeypatch, noise_kind):
-    # a round draws noise for the bottom of the keys only, not a row of m
+@pytest.mark.parametrize("release", ["gaussian", "laplace", "dp-bh"])
+def test_peel_draws_under_one_percent_of_m_per_round(monkeypatch, release):
+    # a round draws noise for the bottom of the keys only, not a row of m;
+    # dp-bh forward-peels the floored logs through the same rounds
     m, m_peel = 50_000, 200
     g = np.random.default_rng(16)
     p = g.uniform(size=m)
@@ -238,12 +240,17 @@ def test_peel_draws_under_one_percent_of_m_per_round(monkeypatch, noise_kind):
         return quantile(u, scale, kind)
     monkeypatch.setattr(peeling, "draw_noise", counting_draw)
     monkeypatch.setattr(peeling, "_noise_quantile", counting_quantile)
-    cfg = TestConfig(family="bh", budget=PrivacyBudget.approx_dp(0.5, 1e-3), gs=1e-4,
-                     m_peel=m_peel, noise_kind=noise_kind)
-    sup_test(p, cfg, RandomStream(17))
-    # the inference row draws m values; the rest are the rounds'
-    assert drawn.count(m) >= 1
-    assert (sum(drawn) - m) / m_peel < 0.01 * m
+    if release == "dp-bh":
+        dp_test(p, DworkParams(m_peel=m_peel), 0.1, RandomStream(17), "bh")
+        row = 0
+    else:
+        cfg = TestConfig(family="bh", budget=PrivacyBudget.approx_dp(0.5, 1e-3), gs=1e-4,
+                         m_peel=m_peel, noise_kind=release)
+        sup_test(p, cfg, RandomStream(17))
+        # the inference row draws m values; the rest are the rounds'
+        assert drawn.count(m) >= 1
+        row = m
+    assert 0 < (sum(drawn) - row) / m_peel < 0.01 * m
 
 
 def test_forward_peel_zero_noise_is_sorted_order():
@@ -282,11 +289,54 @@ def _forward_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_forward_cases())
 def test_forward_peel_equals_delete_reference(case):
+    # bit for bit without noise; with noise the lazy rounds draw other
+    # values than the eager loop and match it in distribution only (the
+    # frequency test below), so a noisy peel is checked for what any peel
+    # must hold: m_peel distinct picks, the same bytes from the same stream
     logs, m_peel, scale, seed = case
     got = forward_peel_baseline(logs, m_peel, scale, RandomStream(seed))
-    want = forward_peel_delete(logs, m_peel, scale, RandomStream(seed))
+    if scale == 0.0:
+        want = forward_peel_delete(logs, m_peel, scale, RandomStream(seed))
+    else:
+        want = forward_peel_baseline(logs, m_peel, scale, RandomStream(seed))
+        assert got[0].size == got[1].size == m_peel
+        assert len(set(got[0].tolist())) == m_peel
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("tail_candidates", [peeling.TAIL_CANDIDATES, 50.0],
+                         ids=["default", "narrow"])
+def test_forward_peel_first_picks_match_delete_reference(monkeypatch, tail_candidates):
+    # a tie at the bottom and logs a few noise scales apart; outcomes are
+    # the first two picks and which of three noisy values lie at or below
+    # thr. "narrow" gives a head of width 0, so every round samples the
+    # tail and many keep a tail survivor.
+    monkeypatch.setattr(peeling, "TAIL_CANDIDATES", tail_candidates)
+    logs = np.log([1e-4, 1e-4, 3e-4, 1e-3, 0.01, 0.05, 0.2, 0.9])
+    thr, n = math.log(2e-4), 6_000
+    tail_rounds, kept_rounds = [], []
+    tail_winner, quantile = peeling._tail_winner, peeling._noise_quantile
+
+    def counting_tail_winner(*args):
+        tail_rounds.append(1)
+        return tail_winner(*args)
+
+    def counting_quantile(u, scale, kind):
+        kept_rounds.append(u.size)
+        return quantile(u, scale, kind)
+    monkeypatch.setattr(peeling, "_tail_winner", counting_tail_winner)
+    monkeypatch.setattr(peeling, "_noise_quantile", counting_quantile)
+
+    def outcome(picked, values):
+        return (*picked[:2].tolist(), *(values <= thr).tolist())
+    lazy = Counter(outcome(*forward_peel_baseline(logs, 3, 1.0, RandomStream(seed)))
+                   for seed in range(n))
+    eager = Counter(outcome(*forward_peel_delete(logs, 3, 1.0, RandomStream(n + seed)))
+                    for seed in range(n))
+    assert _homogeneity_pvalue(lazy, eager) > 1e-3
+    if tail_candidates == 50.0:
+        assert len(tail_rounds) == 3 * n and len(kept_rounds) > n / 2
 
 
 def test_forward_peel_zero_noise_ties_go_to_smallest_index():
