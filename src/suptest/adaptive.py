@@ -87,13 +87,6 @@ def e_tau(tau: float) -> float:
     return float(std_normal_pdf(q) / (1.0 - tau) - q)
 
 
-def _checked_pvals(pvals) -> np.ndarray:
-    p = checked_pvalues(pvals)
-    if p.size == 0:
-        raise ValueError("p-value array is empty")
-    return p
-
-
 def _excess_sum(p: np.ndarray, tau: float) -> float:
     # sum of Q(p_j) - Q(tau) over p_j > tau; zero at the boundary, so the
     # estimate is continuous in each p_j
@@ -108,7 +101,7 @@ def pi0_bar(pvals, tau: float) -> float:
     """Excess-mass null-fraction estimate on the probit scale."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0,1)")
-    p = _checked_pvals(pvals)
+    p = checked_pvalues(pvals)
     return _excess_sum(p, tau) / (p.size * (1.0 - tau) * e_tau(tau))
 
 
@@ -117,7 +110,7 @@ def pi0_inv_bar(pvals, tau: float, c0: float) -> float:
     always in (0, 1/c0]."""
     if not 0.0 < c0 < 1.0:
         raise ValueError("c0 must lie in (0,1)")
-    p = _checked_pvals(pvals)
+    p = checked_pvalues(pvals)
     denom_floor = c0 * p.size * (1.0 - tau) * e_tau(tau)
     num = p.size * (1.0 - tau) * e_tau(tau)
     return num / max(_excess_sum(p, tau), denom_floor)
@@ -183,7 +176,7 @@ def adaptive_sup_test(
         raise ValueError("adaptive test supports gaussian noise only")
     if config.family not in ("bh", "bonf"):
         raise ValueError("adaptive variants exist for bh and bonf only")
-    p = _checked_pvals(pvals)
+    p = checked_pvalues(pvals)
     if stream is None:
         stream = RandomStream(config.seed)
 

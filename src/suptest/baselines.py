@@ -2,13 +2,15 @@
 
 classic_procedure runs BH, BY, Bonferroni and Holm on raw p-values as the
 zero-noise case of the private tests: all m values, unchanged, go through
-the same threshold families and step rule (thresholds.reject_peeled).
+the same threshold families and step rule (thresholds.reject_peeled), and
+its Release holds them all.
 
 dp_test, the log-scale comparator of Dwork, Su & Zhang (J. Privacy &
 Confidentiality 2021), floors the p-values at nu, forward-peels n noisy
 logs (n = m' for bh, m for bonf) by report-noisy-min with Laplace noise,
 sampled by peeling's lazy rounds, and steps up against log thresholds
-deflated by a privacy penalty; its Laplace scale drops the penalty's last log:
+deflated by a privacy penalty; it releases decisions only, so its Release
+holds no values. Its Laplace scale drops the penalty's last log:
 
     bh    log(alpha j / m) - eta sqrt(10 m' ln(1/delta) ln(6 m'/alpha)) / eps
     bonf  log(alpha / m)   - eta sqrt(10 m  ln(1/delta) ln(5 m /alpha)) / (2 eps)
@@ -27,8 +29,8 @@ import numpy as np
 
 from .numerics import RandomStream
 from .peeling import PeelOutcome, forward_peel_baseline
-from .privacy import EXPERIMENT_BUDGET
-from .thresholds import DEFAULT_ZETA, TestConfig, ThresholdFamily, reject_peeled
+from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
+from .thresholds import DEFAULT_ZETA, Release, TestConfig, ThresholdFamily, reject_peeled
 from .transform import checked_pvalues
 
 __all__ = [
@@ -72,17 +74,15 @@ class DworkParams:
             raise ValueError("laplace_scale must be finite and nonnegative")
 
 
-def classic_procedure(pvals, family: str, alpha: float) -> np.ndarray:
-    """Textbook multiple-testing procedure; returns sorted rejected indices.
+def classic_procedure(pvals, family: str, alpha: float) -> Release:
+    """Textbook multiple-testing procedure: the Release of all m raw
+    p-values in index order, with m_peel = m and no budget.
 
     bh / by / bonf are step-up, holm is step-down (thresholds.DEFAULT_ZETA).
     """
     p = checked_pvalues(pvals)
-    if p.size == 0:
-        return np.empty(0, dtype=np.intp)
     peel = PeelOutcome(np.arange(p.size), p)
-    return reject_peeled(peel, ThresholdFamily(family, alpha, p.size),
-                         DEFAULT_ZETA[family]).rejected_indices
+    return reject_peeled(peel, ThresholdFamily(family, alpha, p.size), DEFAULT_ZETA[family])
 
 
 _DP_VARIANTS = {"bh": (6.0, 1.0), "bonf": (5.0, 2.0)}
@@ -112,8 +112,6 @@ def dp_scale(params: DworkParams, m: int, variant: str) -> float:
 
 def _floored_logs(pvals, params: DworkParams, alpha: float) -> np.ndarray:
     p = checked_pvalues(pvals)
-    if p.size == 0:
-        raise ValueError("p-value array is empty")
     nu = 0.5 * alpha / p.size if params.nu is None else params.nu
     return np.log(np.maximum(p, nu))
 
@@ -125,13 +123,14 @@ def dp_test(
     stream: RandomStream,
     variant: str,
     penalty: Optional[float] = None,
-) -> np.ndarray:
+) -> Release:
     """Log-scale private comparator, variant "bh" or "bonf": forward-peel
     n noisy log p-values, then step up against the variant's log
     thresholds minus the penalty.
 
-    Returns sorted rejected indices. penalty overrides the calibrated
-    value (used by reduction checks)."""
+    Returns a Release of decisions only: no released values, m_peel = n
+    and the budget (params.eps, params.delta). penalty overrides the
+    calibrated value (used by reduction checks)."""
     logs = _floored_logs(pvals, params, alpha)
     m = logs.size
     n, _, _ = _dp_formula(params, m, variant)
@@ -150,7 +149,10 @@ def dp_test(
         thr = math.log(alpha / m) - penalty
     hits = np.flatnonzero(values[order] <= thr)
     k = hits[-1] + 1 if hits.size else 0
-    return np.sort(picked[order[:k]])
+    rejected = np.sort(picked[order[:k]])
+    nothing = PeelOutcome(np.empty(0, dtype=np.intp), np.empty(0))
+    return Release(nothing, rejected.size, rejected, n,
+                   PrivacyBudget.approx_dp(params.eps, params.delta))
 
 
 def theorem8_check(params: DworkParams, alpha: float, m: int, variant: str) -> bool:

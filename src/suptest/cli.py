@@ -322,10 +322,7 @@ def main(argv: Optional[list] = None) -> int:
         return int(e.code) if e.code else 0
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive

@@ -18,6 +18,8 @@ quantiles near the bottom of the keys; the peel order's law does not.
 
 The forward baseline of the log-scale comparators runs the same rounds
 with Laplace noise on log p-values, and keeps each round's winning key.
+Both peels call _peel_rounds at every scale: it checks the depth, and at
+scale 0 it returns the stable sort order of the keys and draws nothing.
 """
 
 from __future__ import annotations
@@ -74,35 +76,26 @@ def reversed_peel(
         noise_kind: "gaussian" or "laplace".
     """
     pc = clamp_pvalues(pvals)
-    _check_depth(m_peel, pc.size)
     if noise_kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
     q = None if scales.sigma0 == scales.sigma1 == 0.0 else std_normal_quantile(pc)
-    if scales.sigma1 == 0.0:
-        order = np.argsort(pc, kind="stable")[:m_peel]
-    else:
-        gen = stream.child(1).generator()
-        order = _peel_rounds(q, m_peel, scales.sigma1, gen, noise_kind)[0]
+    keys = pc if scales.sigma1 == 0.0 else q
+    order = _peel_rounds(keys, m_peel, scales.sigma1, stream.child(1), noise_kind)[0]
     if scales.sigma0 == 0.0:
         return PeelOutcome(order, pc[order])
     z = draw_noise(stream.child(0).generator(), scales.sigma0, pc.size, noise_kind)
     return PeelOutcome(order, key_to_noisy_p(q[order] + z[order], scales.sigma0, noise_kind))
 
 
-def _check_depth(m_peel: int, m: int) -> None:
-    if m_peel < 1:
-        raise ValueError("m_peel must be a positive integer")
-    if m_peel > m:
-        raise ValueError(f"m_peel ({m_peel}) cannot exceed the number of hypotheses ({m})")
-
-
-def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, gen: np.random.Generator,
+def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, stream: RandomStream,
                  noise_kind: str) -> tuple:
-    """(order, won) of m_peel rounds of report-noisy-min: each round peels
-    the survivor j with the smallest key q_j + z_j, z fresh i.i.d. noise of
-    the given kind and scale with CDF F, drawn from gen. Equal keys go to
-    the survivor first in (q, index) order, so among equal p-values with
-    equal noise to the smallest index.
+    """(order, won) of m_peel rounds of report-noisy-min, m_peel in
+    [1, q.size]: each round peels the survivor j with the smallest key
+    q_j + z_j, z fresh i.i.d. noise of the given kind and scale with CDF F,
+    drawn from one generator on stream. Equal keys go to the survivor first
+    in (q, index) order, so among equal p-values with equal noise to the
+    smallest index. At scale 0 nothing is drawn: order is the stable sort
+    order of q and won its sorted values.
 
     The survivors are kept sorted by q, with their indices; peeling one
     moves the survivors in front of it up one place. A round draws z for
@@ -127,7 +120,15 @@ def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, gen: np.random.Genera
     so it is neither the argmin nor the minimum.
     """
     m = q.size
+    if m_peel < 1:
+        raise ValueError("m_peel must be a positive integer")
+    if m_peel > m:
+        raise ValueError(f"m_peel ({m_peel}) cannot exceed the number of hypotheses ({m})")
     idx = np.argsort(q, kind="stable")
+    if scale == 0.0:
+        order = idx[:m_peel]
+        return order, q[order]
+    gen = stream.generator()
     qs = q[idx]
     width = _head_width(scale, m, noise_kind)
     order = np.empty(m_peel, dtype=np.intp)
@@ -216,15 +217,12 @@ def forward_peel_baseline(
     noise on the surviving logs, drawn by _peel_rounds from
     stream.generator(), and records the winner's noisy value. With
     laplace_scale = 0 the order is the stable sort order of the logs.
+    m_peel must lie in [1, len(log_pvals)].
 
     Returns:
         (indices, noisy_values): both length m_peel, in peel order.
     """
     if not 0.0 <= laplace_scale < math.inf:
         raise ValueError("laplace_scale must be finite and nonnegative")
-    logs = np.asarray(log_pvals, dtype=float)
-    _check_depth(m_peel, logs.size)
-    if laplace_scale == 0.0:
-        order = np.argsort(logs, kind="stable")[:m_peel]
-        return order, logs[order]
-    return _peel_rounds(logs, m_peel, laplace_scale, stream.generator(), "laplace")
+    return _peel_rounds(np.asarray(log_pvals, dtype=float), m_peel, laplace_scale, stream,
+                        "laplace")

@@ -19,7 +19,6 @@ import numpy as np
 from .adaptive import AdaptiveConfig, adaptive_sup_test
 from .baselines import DworkParams, classic_procedure, dp_test
 from .numerics import RandomStream, std_normal_cdf, std_normal_quantile, usable_cores
-from .peeling import PeelOutcome
 from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
 from .thresholds import (Release, TestConfig, budget_as_mu, resolve_scales, sup_test,
                          truncated_sup_test)
@@ -218,23 +217,17 @@ def gen_pvalues(scenario: SimScenario, stream: RandomStream) -> LabeledPValues:
 
 def run_method(spec: MethodSpec, pvals, alpha: float, stream: RandomStream) -> Release:
     """Run one registered method; the only place a method name is mapped
-    to a procedure, for the simulator and `suptest run` alike."""
+    to a procedure, for the simulator and `suptest run` alike. Each
+    procedure returns its own Release."""
     name = spec.name
-    p = np.asarray(pvals, dtype=float)
     if name in ("bh", "by", "bonf", "holm"):
-        rejected = classic_procedure(p, name, alpha)
-        return Release(PeelOutcome(np.arange(p.size), p), rejected.size, rejected, p.size)
+        return classic_procedure(pvals, name, alpha)
     if name.startswith("dp-"):
-        variant = spec.config.family
-        rejected = dp_test(p, spec.dwork, alpha, stream, variant)
-        nothing = PeelOutcome(np.empty(0, dtype=np.intp), np.empty(0))
-        return Release(nothing, rejected.size, rejected,
-                       spec.dwork.m_peel if variant == "bh" else p.size,
-                       PrivacyBudget.approx_dp(spec.dwork.eps, spec.dwork.delta))
+        return dp_test(pvals, spec.dwork, alpha, stream, spec.config.family)
     cfg = replace(spec.config, alpha=alpha)
     if name.startswith("sup-"):
-        return sup_test(p, cfg, stream)
-    return adaptive_sup_test(p, cfg, spec.adaptive, stream)
+        return sup_test(pvals, cfg, stream)
+    return adaptive_sup_test(pvals, cfg, spec.adaptive, stream)
 
 
 def _metrics(rejected: np.ndarray, data: LabeledPValues, tau: float) -> dict:
@@ -473,7 +466,7 @@ def empirical_tdp_gap(scn: MixtureScenario, stream: RandomStream) -> TdpGapResul
         return TdpGapResult(0.0, 0.0, 0.0, 0)
 
     classic = classic_procedure(pvals, "bh", scn.alpha)
-    tdp_classic = np.count_nonzero(is_signal[classic]) / n_sig
+    tdp_classic = np.count_nonzero(is_signal[classic.rejected_indices]) / n_sig
 
     cfg = TestConfig(
         family="bh",

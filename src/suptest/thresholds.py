@@ -125,7 +125,9 @@ class AdaptiveInfo:
 
 @dataclass(frozen=True)
 class Release:
-    """What one run of a method releases, whichever method it is.
+    """What one run of a method releases, whichever method it is. Every
+    method function (sup_test, truncated_sup_test, adaptive_sup_test,
+    baselines.classic_procedure and baselines.dp_test) returns one.
 
     peeled holds the released values: the peel outcome of the private
     tests, all m raw p-values for the classic procedures, and nothing for

@@ -41,15 +41,18 @@ _ENTRY_HI = 1.0 - 1e-16
 
 
 def checked_pvalues(pvals) -> np.ndarray:
-    """pvals as a float array, every value a number in [0, 1]. Every
-    method checks its p-values here, directly or through clamp_pvalues.
+    """pvals as a nonempty float array, every value a number in [0, 1].
+    Every method checks its p-values here, directly or through clamp_pvalues.
 
     Raises:
-        ValueError: naming the first NaN, infinite or out-of-range value.
+        ValueError: if pvals is empty, or naming the first NaN, infinite or
+            out-of-range value.
     """
     p = np.asarray(pvals, dtype=float)
+    if p.size == 0:
+        raise ValueError("p-value array is empty")
     # a NaN makes min and max NaN, which fails both comparisons
-    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
         i = int(np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))[0])
         raise ValueError(f"p-value {float(p.flat[i])!r} at index {i} is not a number in [0, 1]")
     return p

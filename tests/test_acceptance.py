@@ -52,7 +52,7 @@ def test_criterion_01_zero_noise_matches_classic(criterion_log):
                              budget=PrivacyBudget.gdp(1.0),
                              m_peel=500, sigma_override=(0.0, 0.0))
             got = sup_test(p, cfg, RandomStream(1)).rejected_indices
-            if not np.array_equal(got, classic_procedure(p, fam, 0.1)):
+            if not np.array_equal(got, classic_procedure(p, fam, 0.1).rejected_indices):
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     criterion_log(f"criterion 01: mismatches={mismatches}/4000 "

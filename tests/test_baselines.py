@@ -23,22 +23,22 @@ from test_peeling import _homogeneity_pvalue
 
 def test_classic_bh_hand_trace():
     # thresholds 0.0167, 0.0333, 0.05 -> j* = 2
-    rej = classic_procedure(np.array([0.01, 0.02, 0.9]), "bh", 0.05)
+    rej = classic_procedure(np.array([0.01, 0.02, 0.9]), "bh", 0.05).rejected_indices
     assert rej.tolist() == [0, 1]
 
 
 def test_classic_all_ones_rejects_nothing():
     p = np.ones(10)
     for fam in ("bh", "by", "bonf", "holm"):
-        assert classic_procedure(p, fam, 0.1).size == 0
+        assert classic_procedure(p, fam, 0.1).rejected_indices.size == 0
 
 
 def test_classic_bonf_and_holm():
     p = np.array([0.004, 0.011, 0.03, 0.9])
     # bonf cutoff 0.0125
-    assert classic_procedure(p, "bonf", 0.05).tolist() == [0, 1]
+    assert classic_procedure(p, "bonf", 0.05).rejected_indices.tolist() == [0, 1]
     # holm: 0.004<=0.0125, 0.011<=0.0167, 0.03>0.025 stops
-    assert classic_procedure(p, "holm", 0.05).tolist() == [0, 1]
+    assert classic_procedure(p, "holm", 0.05).rejected_indices.tolist() == [0, 1]
 
 
 def test_classic_by_is_bh_with_harmonic_correction():
@@ -46,8 +46,8 @@ def test_classic_by_is_bh_with_harmonic_correction():
     p = g.uniform(size=50)
     m = p.size
     h = np.sum(1.0 / np.arange(1, m + 1))
-    by = classic_procedure(p, "by", 0.2)
-    bh_equivalent = classic_procedure(p, "bh", 0.2 / h)
+    by = classic_procedure(p, "by", 0.2).rejected_indices
+    bh_equivalent = classic_procedure(p, "bh", 0.2 / h).rejected_indices
     assert np.array_equal(by, bh_equivalent)
 
 
@@ -56,16 +56,17 @@ def test_bonferroni_subset_of_holm_subset_of_bh():
     for _ in range(50):
         p = g.uniform(size=30)
         p[: g.integers(0, 8)] *= 1e-3
-        bonf = set(classic_procedure(p, "bonf", 0.1).tolist())
-        holm = set(classic_procedure(p, "holm", 0.1).tolist())
-        bh = set(classic_procedure(p, "bh", 0.1).tolist())
+        bonf = set(classic_procedure(p, "bonf", 0.1).rejected_indices.tolist())
+        holm = set(classic_procedure(p, "holm", 0.1).rejected_indices.tolist())
+        bh = set(classic_procedure(p, "bh", 0.1).rejected_indices.tolist())
         assert bonf <= holm <= bh
 
 
 def test_classic_bh_monotone_in_alpha():
     p = np.random.default_rng(8).uniform(size=100)
     p[:10] *= 1e-3
-    counts = [classic_procedure(p, "bh", a).size for a in (0.01, 0.05, 0.1, 0.2, 0.4)]
+    counts = [classic_procedure(p, "bh", a).rejected_indices.size
+              for a in (0.01, 0.05, 0.1, 0.2, 0.4)]
     assert counts == sorted(counts)
 
 
@@ -74,7 +75,8 @@ def test_classic_validation():
         classic_procedure(np.array([0.5]), "fdr", 0.1)
     with pytest.raises(ValueError):
         classic_procedure(np.array([0.5]), "bh", 0.0)
-    assert classic_procedure(np.array([]), "bh", 0.1).size == 0
+    with pytest.raises(ValueError, match="empty"):
+        classic_procedure(np.array([]), "bh", 0.1)
 
 
 # p-values with exact 0s and 1s and repeats
@@ -88,7 +90,8 @@ def test_classic_procedure_matches_textbook_oracle(pvals, family, alpha):
     # classic_procedure selects through select_step; the oracle writes the
     # textbook thresholds and step rules out on its own
     p = np.array(pvals)
-    assert np.array_equal(classic_procedure(p, family, alpha), classic_oracle(p, family, alpha))
+    assert np.array_equal(classic_procedure(p, family, alpha).rejected_indices,
+                          classic_oracle(p, family, alpha))
 
 
 def test_dwork_params_validation():
@@ -184,7 +187,7 @@ def test_dp_test_matches_docstring_oracle(pvals, variant, alpha, eta, eps, nu,
     # bit for bit without noise; with noise the lazy forward peel matches
     # the oracle's eager loop in distribution only (the frequency test
     # below), so a noisy run is checked for what any run must hold
-    got = dp_test(p, params, alpha, RandomStream(seed), variant, penalty)
+    got = dp_test(p, params, alpha, RandomStream(seed), variant, penalty).rejected_indices
     if laplace_scale == 0.0:
         assert got.tolist() == _dp_oracle(p, params, alpha, RandomStream(seed), variant,
                                           penalty)
@@ -192,7 +195,7 @@ def test_dp_test_matches_docstring_oracle(pvals, variant, alpha, eta, eps, nu,
         n = m_peel if variant == "bh" else p.size
         assert got.size <= n and np.all(np.diff(got) > 0)
         assert np.all((0 <= got) & (got < p.size))
-        again = dp_test(p, params, alpha, RandomStream(seed), variant, penalty)
+        again = dp_test(p, params, alpha, RandomStream(seed), variant, penalty).rejected_indices
         assert got.tobytes() == again.tobytes()
 
 
@@ -206,7 +209,8 @@ def test_dp_test_rejection_sets_match_docstring_oracle(monkeypatch, variant,
     monkeypatch.setattr(peeling, "TAIL_CANDIDATES", tail_candidates)
     p = np.array([1e-4, 1e-4, 3e-4, 1e-3, 0.01, 0.05, 0.2, 0.9])
     params, alpha, n = DworkParams(m_peel=4, laplace_scale=1.0), 0.002, 4_000
-    lazy = Counter(tuple(dp_test(p, params, alpha, RandomStream(seed), variant).tolist())
+    lazy = Counter(tuple(dp_test(p, params, alpha, RandomStream(seed),
+                                 variant).rejected_indices.tolist())
                    for seed in range(n))
     eager = Counter(tuple(_dp_oracle(p, params, alpha, RandomStream(n + seed), variant, None))
                     for seed in range(n))
@@ -228,8 +232,8 @@ def test_dp_bh_zero_noise_zero_penalty_is_classic_on_peeled_set():
     m = p.size
     params = DworkParams(eta=1e-4, nu=1e-8, eps=0.5, delta=1e-3,
                          m_peel=m, laplace_scale=0.0)
-    rej = dp_test(p, params, 0.1, RandomStream(0), "bh", penalty=0.0)
-    ref = classic_procedure(p, "bh", 0.1)
+    rej = dp_test(p, params, 0.1, RandomStream(0), "bh", penalty=0.0).rejected_indices
+    ref = classic_procedure(p, "bh", 0.1).rejected_indices
     assert np.array_equal(rej, ref)
 
 
@@ -237,8 +241,8 @@ def test_dp_bh_large_eps_approaches_classic():
     # widely separated p-values: vanishing noise and penalty recover BH
     p = np.geomspace(1e-8, 0.9, 40)
     params = DworkParams(eta=1e-4, nu=1e-12, eps=1e6, delta=1e-3, m_peel=40)
-    rej = dp_test(p, params, 0.1, RandomStream(5), "bh")
-    ref = classic_procedure(p, "bh", 0.1)
+    rej = dp_test(p, params, 0.1, RandomStream(5), "bh").rejected_indices
+    ref = classic_procedure(p, "bh", 0.1).rejected_indices
     assert np.array_equal(rej, ref)
 
 
@@ -247,28 +251,28 @@ def test_dp_bh_strong_privacy_rejects_nothing():
     # garbage regime (eta ~ 1) makes the comparator misfire by design
     p = np.full(50, 0.5)
     params = DworkParams(eta=1e-4, nu=1e-6, eps=0.01, delta=1e-3, m_peel=20)
-    assert dp_test(p, params, 0.1, RandomStream(2), "bh").size == 0
+    assert dp_test(p, params, 0.1, RandomStream(2), "bh").rejected_indices.size == 0
 
 
 def test_dp_bonf_large_eps_is_classic_bonferroni():
     p = np.geomspace(1e-9, 0.9, 30)
     params = DworkParams(eta=1e-4, nu=1e-12, eps=1e6, delta=1e-3, m_peel=30)
-    rej = dp_test(p, params, 0.1, RandomStream(3), "bonf")
-    ref = classic_procedure(p, "bonf", 0.1)
+    rej = dp_test(p, params, 0.1, RandomStream(3), "bonf").rejected_indices
+    ref = classic_procedure(p, "bonf", 0.1).rejected_indices
     assert np.array_equal(rej, ref)
 
 
 def test_dp_bonf_strong_privacy_rejects_nothing():
     p = np.full(40, 0.5)
     params = DworkParams(eta=1e-4, nu=1e-6, eps=0.05, delta=1e-3, m_peel=40)
-    assert dp_test(p, params, 0.1, RandomStream(4), "bonf").size == 0
+    assert dp_test(p, params, 0.1, RandomStream(4), "bonf").rejected_indices.size == 0
 
 
 def test_dp_bh_deterministic():
     p = np.random.default_rng(13).uniform(size=60)
     params = DworkParams(eta=1e-4, nu=1e-6, eps=0.5, delta=1e-3, m_peel=25)
-    a = dp_test(p, params, 0.1, RandomStream(9), "bh")
-    b = dp_test(p, params, 0.1, RandomStream(9), "bh")
+    a = dp_test(p, params, 0.1, RandomStream(9), "bh").rejected_indices
+    b = dp_test(p, params, 0.1, RandomStream(9), "bh").rejected_indices
     assert np.array_equal(a, b)
 
 

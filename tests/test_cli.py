@@ -2,6 +2,7 @@ import argparse
 import gc
 import hashlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_run_classic_matches_library(pfile, capsys):
     body = [row.split(",") for row in out[1:-1]]
     assert len(body) == p.size
     got = np.array([i for i, row in enumerate(body) if row[3] == "1"])
-    want = classic_procedure(p, "bh", 0.1)
+    want = classic_procedure(p, "bh", 0.1).rejected_indices
     assert np.array_equal(got, want)
     # classic rows echo the raw p-value in the noisy column
     for i, row in enumerate(body):
@@ -369,6 +370,21 @@ def test_simulate_preset_with_overrides(tmp_path):
     lines = dest.read_text().strip().split("\n")
     assert lines[0] == "method,metric,mean,stderr,reps"
     assert all(row.endswith(",2") for row in lines[1:])
+
+
+def test_simulate_readme_desk_scenario(tmp_path, monkeypatch):
+    # the README's worked example, run from the repository root as shown there
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    dest = tmp_path / "metrics.csv"
+    assert main(["simulate", "--scenario", "scenarios/desk.cfg", "--m", "500", "--m1", "5",
+                 "--reps", "2", "--output", str(dest)]) == 0
+    lines = dest.read_text().strip().split("\n")
+    assert lines[0] == "method,metric,mean,stderr,reps"
+    rows = [line.split(",") for line in lines[1:]]
+    labels = ("bh", "sup-bh", "sup-bh-lap", "sup-bonf", "asup-bh", "dp-bh")
+    assert [(row[0], row[1]) for row in rows] == [
+        (label, metric) for label in labels for metric in METRIC_NAMES]
+    assert all(row[4] == "2" for row in rows)
 
 
 def test_simulate_unwritable_output_exits_2_before_any_replicate(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import pytest
 
 import suptest
 from suptest import simulate
+from suptest.baselines import classic_procedure, dp_test
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.privacy import PrivacyBudget, experiment_mu
 from suptest.simulate import (
@@ -28,6 +30,7 @@ from suptest.simulate import (
     run_replications,
 )
 from suptest.simulate import _metrics
+from suptest.thresholds import Release
 
 
 def _scn(**kw):
@@ -300,6 +303,19 @@ def test_metrics_table_csv_schema():
         assert fields[4] == "2"
 
 
+def _assert_same_release(got, want):
+    # field by field, arrays by value
+    for f in fields(Release):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "peeled":
+            assert np.array_equal(a.peeled_indices, b.peeled_indices)
+            assert a.inference_pvals.tobytes() == b.inference_pvals.tobytes()
+        elif isinstance(a, np.ndarray):
+            assert np.array_equal(a, b)
+        else:
+            assert a == b, f.name
+
+
 def test_run_method_dispatch_covers_registry():
     g = np.random.default_rng(0)
     p = g.uniform(size=120)
@@ -310,6 +326,9 @@ def test_run_method_dispatch_covers_registry():
         MethodSpec("asup-bh", options={"m_tilde": 10}),
         MethodSpec("dp-bh", options={"m_peel": 20}),
         MethodSpec("dp-bonf"),
+        # noise large enough that the rejection set depends on the stream
+        MethodSpec("dp-bh", options={"m_peel": 20, "eta": 1e-2}),
+        MethodSpec("dp-bonf", options={"eta": 3e-3}),
         MethodSpec("sup-bh", options={"noise": "laplace", "m_peel": 20}),
         MethodSpec("sup-bh", options={"mu": 0.5, "m_peel": 20}),
     ]
@@ -324,10 +343,13 @@ def test_run_method_dispatch_covers_registry():
             assert np.array_equal(released, np.arange(p.size))
             assert np.array_equal(release.peeled.inference_pvals, p)
             assert release.m_peel == p.size and release.budget is None
+            _assert_same_release(release, classic_procedure(p, "holm", 0.1))
         elif spec.name.startswith("dp-"):
             assert released.size == 0 and release.peeled.inference_pvals.size == 0
             assert release.m_peel == (20 if spec.name == "dp-bh" else p.size)
             assert release.budget == PrivacyBudget.approx_dp(0.5, 1e-3)
+            direct = dp_test(p, spec.dwork, 0.1, RandomStream(5), spec.config.family)
+            _assert_same_release(release, direct)
         else:
             assert np.isin(rej, released).all()
             assert release.m_peel == released.size
