@@ -36,9 +36,7 @@ __all__ = [
     "AdaptiveConfig",
     "resolve_c",
     "e_tau",
-    "pi0_bar",
     "pi0_inv_bar",
-    "gs_pi0",
     "gs_pi0_inv",
     "peel_count_m_dagger",
     "pi0_hat",
@@ -97,14 +95,6 @@ def _excess_sum(p: np.ndarray, tau: float) -> float:
                         - std_normal_quantile(tau)))
 
 
-def pi0_bar(pvals, tau: float) -> float:
-    """Excess-mass null-fraction estimate on the probit scale."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0,1)")
-    p = checked_pvalues(pvals)
-    return _excess_sum(p, tau) / (p.size * (1.0 - tau) * e_tau(tau))
-
-
 def pi0_inv_bar(pvals, tau: float, c0: float) -> float:
     """Floored inverse estimate m(1-tau)E_tau / max{excess sum, c0 m(1-tau)E_tau},
     always in (0, 1/c0]."""
@@ -116,15 +106,8 @@ def pi0_inv_bar(pvals, tau: float, c0: float) -> float:
     return num / max(_excess_sum(p, tau), denom_floor)
 
 
-def gs_pi0(gs: float, tau: float) -> float:
-    """Sensitivity of pi0_bar when one record moves every Q(p_j) by gs."""
-    if not 0.0 < gs < math.inf:
-        raise ValueError("gs must be finite and positive")
-    return gs / ((1.0 - tau) * e_tau(tau))
-
-
 def gs_pi0_inv(gs: float, tau: float, c0: float) -> float:
-    """Sensitivity of pi0_inv_bar under the same record model."""
+    """Sensitivity of pi0_inv_bar when one record moves every Q(p_j) by gs."""
     if not 0.0 <= gs < math.inf:
         raise ValueError("gs must be finite and nonnegative")
     if not 0.0 < c0 < 1.0:
@@ -157,7 +140,8 @@ def pi0_hat(pi0_inv_val: float, sigma_tau: float, noise: float,
     if not math.isfinite(v):
         raise ValueError("pi0_inv_val and noise must be finite")
     v = min(max(v, 1.0), 1.0 / c0)
-    return float(1.0 / v)
+    # 1 / (1 / c0) can round to just below c0
+    return float(max(1.0 / v, c0))
 
 
 def adaptive_sup_test(

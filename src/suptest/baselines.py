@@ -14,9 +14,6 @@ holds no values. Its Laplace scale drops the penalty's last log:
 
     bh    log(alpha j / m) - eta sqrt(10 m' ln(1/delta) ln(6 m'/alpha)) / eps
     bonf  log(alpha / m)   - eta sqrt(10 m  ln(1/delta) ln(5 m /alpha)) / (2 eps)
-
-theorem8_check evaluates the sufficient condition under which the
-Gaussian-free (Laplace) peeling test dominates these comparators.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ __all__ = [
     "dp_test",
     "dp_penalty",
     "dp_scale",
-    "theorem8_check",
 ]
 
 
@@ -129,14 +125,17 @@ def dp_test(
     thresholds minus the penalty.
 
     Returns a Release of decisions only: no released values, m_peel = n
-    and the budget (params.eps, params.delta). penalty overrides the
-    calibrated value (used by reduction checks)."""
+    and the budget (params.eps, params.delta), or None where
+    params.laplace_scale set the scale, which no budget calibrated.
+    penalty overrides the calibrated value (used by reduction checks)."""
     logs = _floored_logs(pvals, params, alpha)
     m = logs.size
     n, _, _ = _dp_formula(params, m, variant)
     scale = params.laplace_scale
+    budget = None
     if scale is None:
         scale = dp_scale(params, m, variant)
+        budget = PrivacyBudget.approx_dp(params.eps, params.delta)
     if penalty is None:
         penalty = dp_penalty(params, alpha, m, variant)
     picked, values = forward_peel_baseline(logs, n, scale, stream)
@@ -151,13 +150,4 @@ def dp_test(
     k = hits[-1] + 1 if hits.size else 0
     rejected = np.sort(picked[order[:k]])
     nothing = PeelOutcome(np.empty(0, dtype=np.intp), np.empty(0))
-    return Release(nothing, rejected.size, rejected, n,
-                   PrivacyBudget.approx_dp(params.eps, params.delta))
-
-
-def theorem8_check(params: DworkParams, alpha: float, m: int, variant: str) -> bool:
-    """Sufficient-dominance condition of the Laplace peeling test over the
-    corresponding log-scale comparator."""
-    v = variant.lower()
-    n, const, _ = _dp_formula(params, m, v)
-    return dp_scale(params, m, v) <= 1.0 - 1.0 / math.log(const * n / alpha)
+    return Release(nothing, rejected.size, rejected, n, budget)

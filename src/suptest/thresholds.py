@@ -1,4 +1,4 @@
-"""Threshold families, step selection, and the peeled/truncated tests.
+"""Threshold families, step selection, and the peeled test.
 
 Four threshold families are supported, always indexed against the full
 hypothesis count m even when only m_peel values are tested:
@@ -15,7 +15,7 @@ variants set it to 1/pi0_hat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,6 @@ __all__ = [
     "select_step",
     "reject_peeled",
     "sup_test",
-    "truncated_sup_test",
     "released_budget",
     "resolve_scales",
     "budget_as_mu",
@@ -126,18 +125,18 @@ class AdaptiveInfo:
 @dataclass(frozen=True)
 class Release:
     """What one run of a method releases, whichever method it is. Every
-    method function (sup_test, truncated_sup_test, adaptive_sup_test,
-    baselines.classic_procedure and baselines.dp_test) returns one.
+    method function (sup_test, adaptive_sup_test, baselines.classic_procedure
+    and baselines.dp_test) returns one.
 
     peeled holds the released values: the peel outcome of the private
     tests, all m raw p-values for the classic procedures, and nothing for
     the log-scale comparators, which release decisions only. m_peel is the
     peeling number the method used (m* for the adaptive tests, m for the
     classic procedures and dp-bonf). budget is the privacy budget the
-    release spent: None for the classic procedures, for truncated_sup_test
-    and where sigma_override set the noise scales, which no budget
-    calibrated. scales are the noise scales of sup_test, truncated_sup_test
-    and adaptive_sup_test, None for the other methods.
+    release spent: None for the classic procedures and where sigma_override
+    or DworkParams.laplace_scale set the noise scales, which no budget
+    calibrated. scales are the noise scales of sup_test and
+    adaptive_sup_test, None for the other methods.
     """
 
     peeled: peeling.PeelOutcome
@@ -255,24 +254,3 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
     family = ThresholdFamily(config.family, config.alpha, p.size)
     return reject_peeled(peel, family, config.resolved_zeta(), released_budget(config),
                          scales=scales)
-
-
-def truncated_sup_test(
-    pvals, config: TestConfig, stream: Optional[RandomStream] = None
-) -> Release:
-    """No-peeling variant: sup_test with all m values peeled at sigma1 = 0,
-    which draws no peeling noise, so all m noisy inference values enter
-    selection. sigma0 is calibrated at config.m_peel as in sup_test.
-    Analysis tool only; releasing all m values carries no privacy
-    guarantee under the peeling calibration.
-
-    Row 0 is drawn from stream.child(0) exactly as sup_test does, so a
-    shared stream yields a shared inference row. The release carries no
-    budget, since the calibration does not cover it.
-    """
-    p = np.asarray(pvals, dtype=float)
-    if config.m_peel > p.size:
-        raise ValueError(
-            f"m_peel ({config.m_peel}) cannot exceed the number of hypotheses ({p.size})")
-    sigma0 = resolve_scales(config, config.m_peel).sigma0
-    return sup_test(p, replace(config, m_peel=p.size, sigma_override=(sigma0, 0.0)), stream)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from suptest.adaptive import e_tau, gs_pi0_inv, pi0_bar, pi0_inv_bar
-from suptest.baselines import DworkParams, classic_procedure, theorem8_check
+from suptest.adaptive import e_tau, gs_pi0_inv, pi0_inv_bar
+from suptest.baselines import DworkParams, classic_procedure
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.privacy import (
     PrivacyBudget,
@@ -23,13 +23,16 @@ from suptest.privacy import (
     experiment_mu,
     gdp_to_approx_dp_delta,
 )
-from suptest.simulate import (
+from suptest.thresholds import TestConfig, sup_test
+from theory_oracle import (
     MixtureScenario,
     asymptotic_bh_threshold,
     empirical_tdp_gap,
     noise_inflation,
+    pi0_bar,
+    theorem8_check,
+    truncated_sup_test,
 )
-from suptest.thresholds import TestConfig, sup_test, truncated_sup_test
 
 FAMILIES = ("bh", "by", "bonf", "holm")
 

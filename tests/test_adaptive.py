@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suptest.adaptive import (
     AdaptiveConfig,
     adaptive_sup_test,
     e_tau,
-    gs_pi0,
     gs_pi0_inv,
     peel_count_m_dagger,
-    pi0_bar,
     pi0_hat,
     pi0_inv_bar,
     resolve_c,
@@ -18,6 +17,7 @@ from suptest.adaptive import (
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.privacy import PrivacyBudget
 from suptest.thresholds import TestConfig
+from theory_oracle import gs_pi0, pi0_bar
 
 
 def test_e_tau_values():
@@ -100,6 +100,8 @@ def test_pi0_hat_clamping():
     assert pi0_hat(1.0, 1.0, -0.7, c0=0.5) == 1.0
     # huge noise clamps at the floor
     assert pi0_hat(1.5, 1.0, 100.0, c0=0.5) == 0.5
+    # 1 / (1 / c0) rounds to just below this c0
+    assert pi0_hat(2.0, 0.0, 0.0, c0=0.896484375) == 0.896484375
     with pytest.raises(ValueError):
         pi0_hat(1.0, -0.1, 0.0)
 
@@ -222,3 +224,40 @@ def test_adaptive_m_star_tracks_signal_mass():
     c = resolve_c(AdaptiveConfig(), 0.1)
     assert res.adaptive_info.pi0_hat < 0.9
     assert res.adaptive_info.m_star >= math.ceil((1 + c) * m * 0.1)
+
+@st.composite
+def _adaptive_instances(draw):
+    """An input with exact 0 and 1 p-values and a random share of strong
+    signals, and the knobs of one adaptive release over it."""
+    m = draw(st.integers(1, 400))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = g.random(m)
+    n_signal = draw(st.integers(0, m))
+    p[:n_signal] *= 1e-6
+    p[g.choice(m, size=draw(st.integers(0, m)), replace=False)] = 0.0
+    p[g.choice(m, size=draw(st.integers(0, m)), replace=False)] = 1.0
+    # a large gs makes the pi0_hat noise large enough to reach both clamps
+    cfg = TestConfig(family=draw(st.sampled_from(["bh", "bonf"])), alpha=0.1,
+                     budget=PrivacyBudget.gdp(0.5),
+                     gs=draw(st.sampled_from([1e-4, 0.05, 1.0])))
+    acfg = AdaptiveConfig(m_tilde=draw(st.integers(1, 500)), c0=draw(st.floats(0.01, 0.99)),
+                          rho=draw(st.floats(0.01, 0.99)))
+    return p, cfg, acfg, RandomStream(draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_adaptive_instances())
+def test_adaptive_release_invariants(instance):
+    p, cfg, acfg, stream = instance
+    release = adaptive_sup_test(p, cfg, acfg, stream)
+    info = release.adaptive_info
+    peeled = release.peeled.peeled_indices
+    # m* values are peeled, each hypothesis at most once, and m* never
+    # falls below the floor m_tilde unless m does
+    assert release.m_peel == info.m_star == np.unique(peeled).size == peeled.size
+    assert min(acfg.m_tilde, p.size) <= info.m_star <= p.size
+    assert acfg.c0 <= info.pi0_hat <= 1.0
+    rejected = release.rejected_indices
+    assert np.all(np.diff(rejected) > 0)
+    assert np.isin(rejected, peeled).all()
+    assert release.j_star == rejected.size

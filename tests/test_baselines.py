@@ -13,12 +13,12 @@ from suptest.baselines import (
     classic_procedure,
     dp_penalty,
     dp_test,
-    theorem8_check,
 )
 from suptest.numerics import RandomStream
 from suptest.peeling import forward_peel_baseline
 from suptest.thresholds import FAMILIES
 from test_peeling import _homogeneity_pvalue
+from theory_oracle import theorem8_check
 
 
 def test_classic_bh_hand_trace():

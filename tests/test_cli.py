@@ -302,6 +302,7 @@ def test_simulate_scenario_errors_enumerated(tmp_path, capsys, monkeypatch):
     ("sup-bh.tau = 2", "sup-bh", "tau"),
     ("asup-bh.noise = laplace", "asup-bh", "noise"),
     ("sup-bh.noise = laplace\nsup-bh.mu = 1", "sup-bh", "noise"),
+    ("sup-bh.m_peel = 201", "sup-bh", "m_peel"),
 ])
 def test_simulate_refuses_bad_option_values_before_the_study(
         tmp_path, capsys, monkeypatch, lines, label, key):
@@ -401,17 +402,19 @@ def test_simulate_unwritable_output_exits_2_before_any_replicate(
 
 def test_simulate_replicate_error_exits_2_for_any_worker_count(
         tmp_path, capsys, monkeypatch):
-    # m_peel > m passes scenario validation and fails inside each replicate
+    # an error raised inside each replicate; forked workers inherit the patch
+    def fails(pvals, config, stream):
+        raise ValueError("the replicate failed")
+    monkeypatch.setattr(simulate, "sup_test", fails)
     scen = tmp_path / "scen.cfg"
-    scen.write_text("m=100\nm1=5\nreps=3\nmethods=bh,sup-bh\nsup-bh.m_peel=500\n")
+    scen.write_text("m=100\nm1=5\nreps=3\nmethods=bh,sup-bh\nsup-bh.m_peel=50\n")
     outcomes = []
     for workers in (1, 2):
         monkeypatch.setattr(simulate, "_worker_count", lambda reps: workers)
         code = main(["simulate", "--scenario", str(scen)])
         outcomes.append((code,) + tuple(capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0] == (
-        2, "", "error: m_peel (500) cannot exceed the number of hypotheses (100)\n")
+    assert outcomes[0] == (2, "", "error: the replicate failed\n")
 
 
 def test_run_option_flags_reach_the_method_spec(pfile, capsys, monkeypatch):

@@ -14,8 +14,8 @@ from suptest.privacy import (
     gdp_to_approx_dp_delta,
     split_budget,
 )
-from suptest.simulate import asymptotic_bh_threshold, noise_inflation
 from suptest.thresholds import ThresholdFamily
+from theory_oracle import asymptotic_bh_threshold, noise_inflation
 
 
 def test_budget_constructors():

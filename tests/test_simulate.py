@@ -20,17 +20,19 @@ from suptest.simulate import (
     METRIC_NAMES,
     LabeledPValues,
     MethodSpec,
-    MixtureScenario,
     SimScenario,
-    asymptotic_bh_threshold,
-    empirical_tdp_gap,
     gen_pvalues,
-    noise_inflation,
     run_method,
     run_replications,
 )
 from suptest.simulate import _metrics
 from suptest.thresholds import Release
+from theory_oracle import (
+    MixtureScenario,
+    asymptotic_bh_threshold,
+    empirical_tdp_gap,
+    noise_inflation,
+)
 
 
 def _scn(**kw):
@@ -71,6 +73,13 @@ def test_scenario_validation():
     assert type(spec.options["gs"]) is float
     with pytest.raises(ValueError, match="theta_signal"):
         _scn(theta_signal=float("nan"))
+    # a peeling depth above m is refused before any replicate, naming the method
+    with pytest.raises(ValueError, match=r"^method 'dp-bh': m_peel \(401\) cannot exceed "
+                                         r"m \(400\)$"):
+        _scn(methods=(MethodSpec("dp-bh", options={"m_peel": 401}),))
+    # asup-* clamp m* to m, and dp-bonf peels m whatever its m_peel
+    _scn(methods=(MethodSpec("asup-bh", options={"m_peel": 401}),
+                  MethodSpec("dp-bonf", options={"m_peel": 401})))
 
 
 # one out-of-range value for every option of the table
@@ -373,6 +382,16 @@ def test_run_method_overridden_scales_claim_no_budget():
                             RandomStream(2))
     assert calibrated.budget == PrivacyBudget.approx_dp(0.5, 1e-3)
     assert calibrated.scales.sigma1 == 2.0 * calibrated.scales.sigma0 > 0.0
+    # a set laplace_scale replaces the dp-* calibration, zero drawing no noise
+    for name in ("dp-bh", "dp-bonf"):
+        for scale in (0.0, 0.5):
+            release = run_method(MethodSpec(name, options={"laplace_scale": scale,
+                                                           "m_peel": 20}),
+                                 p, 0.1, RandomStream(2))
+            assert release.budget is None
+        calibrated = run_method(MethodSpec(name, options={"m_peel": 20}), p, 0.1,
+                                RandomStream(2))
+        assert calibrated.budget == PrivacyBudget.approx_dp(0.5, 1e-3)
 
 
 @pytest.mark.parametrize("name", ["dp-bh", "dp-bonf"])

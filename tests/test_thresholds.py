@@ -19,8 +19,8 @@ from suptest.thresholds import (
     select_step,
     sup_test,
     threshold_values,
-    truncated_sup_test,
 )
+from theory_oracle import truncated_sup_test
 
 
 def test_threshold_values_bh():
