@@ -41,28 +41,30 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------- run
 
-def _parse_pvalue_csv(text: str):
-    """Returns (ids, pvals) from `id,p` / `p` CSV or a headerless column."""
+def _columns(first: str):
+    """(p_col, id_col, header) from the first non-blank line: a line with a
+    `p` field (any case) is a header naming the columns; otherwise the p-values
+    are the first column, with no ids."""
+    cols = [f.strip().lower() for f in first.split(",")]
+    if "p" not in cols:
+        return 0, None, False
+    return cols.index("p"), cols.index("id") if "id" in cols else None, True
+
+
+def _parse_rows(text: str):
+    """The line-numbered loop of `_parse_pvalue_csv`: one row at a time, so
+    a bad row is named by its line."""
     numbered = [(i, line.strip()) for i, line in enumerate(text.splitlines(), 1)
                 if line.strip()]
     if not numbered:
         raise UsageError("no p-values in input")
-
-    first_fields = [f.strip() for f in numbered[0][1].split(",")]
-    header = "p" in [f.lower() for f in first_fields]
-    if header:
-        cols = [f.lower() for f in first_fields]
-        p_col = cols.index("p")
-        id_col = cols.index("id") if "id" in cols else None
-        data = numbered[1:]
-    else:
-        p_col, id_col = 0, None
-        data = numbered
+    p_col, id_col, header = _columns(numbered[0][1])
+    data = numbered[header:]
     if not data:
         raise UsageError("no p-values in input")
 
     width = max(p_col, p_col if id_col is None else id_col) + 1
-    ids, pvals = [], []
+    ids, tokens, pvals = [], [], []
     for ln, line in data:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) < width:
@@ -74,8 +76,42 @@ def _parse_pvalue_csv(text: str):
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"line {ln}: p-value {p!r} outside [0, 1]")
         pvals.append(p)
+        tokens.append(fields[p_col])
         ids.append(fields[id_col] if id_col is not None else str(len(ids) + 1))
-    return ids, np.asarray(pvals)
+    return ids, tokens, np.asarray(pvals)
+
+
+def _parse_pvalue_csv(text: str):
+    """Returns (ids, tokens, pvals) from an `id,p` / `p` CSV or a headerless
+    column: the ids, each p field with surrounding whitespace stripped, and
+    the p-values as floats. Blank lines are skipped.
+
+    Two paths, one result. When every data row has the same number of
+    commas, enough for the p and id columns, the rows are joined and split
+    once, the p column is converted with one map(float, ...) and checked
+    against [0, 1] at once. Ragged or short rows, a field that is not a
+    number and a value outside [0, 1] fall back to `_parse_rows`, the
+    line-numbered loop, which reads them or names the bad line.
+    """
+    rows = [line for line in map(str.strip, text.splitlines()) if line]
+    if rows:
+        p_col, id_col, header = _columns(rows[0])
+        data = rows[header:]
+        commas = set(map(str.count, data, [","] * len(data)))
+        step = commas.pop() + 1 if len(commas) == 1 else 0
+        if step > max(p_col, id_col or 0):
+            fields = ",".join(data).split(",")
+            tokens = list(map(str.strip, fields[p_col::step]))
+            try:
+                pvals = np.fromiter(map(float, tokens), float, len(tokens))
+            except ValueError:
+                return _parse_rows(text)
+            # a NaN makes min and max NaN, which fails both comparisons
+            if pvals.min() >= 0.0 and pvals.max() <= 1.0:
+                ids = (list(map(str.strip, fields[id_col::step])) if id_col is not None
+                       else [str(i) for i in range(1, len(tokens) + 1)])
+                return ids, tokens, pvals
+    return _parse_rows(text)
 
 
 # the method options `suptest run` takes as flags (--m-peel for m_peel): all
@@ -92,19 +128,23 @@ def _run_options(args) -> dict:
 def cmd_run(args) -> int:
     spec = MethodSpec(args.method, options=_run_options(args))
     stream = RandomStream(args.seed)
-    ids, pvals = _parse_pvalue_csv(_read_text(args.input))
+    ids, tokens, pvals = _parse_pvalue_csv(_read_text(args.input))
     release = run_method(spec, pvals, args.alpha, stream)
 
-    # the two release columns, indexed by row
-    peel = release.peeled
-    noisy = [""] * len(ids)
-    for i, val in zip(peel.peeled_indices.tolist(), map(repr, peel.inference_pvals.tolist())):
-        noisy[i] = val
+    # the two release columns, indexed by row; a classic procedure releases
+    # every input p-value as it is, so its noisy_p echoes the input token
+    if spec.name in ("bh", "by", "bonf", "holm"):
+        noisy = tokens
+    else:
+        peel = release.peeled
+        noisy = [""] * len(ids)
+        for i, val in zip(peel.peeled_indices.tolist(), map(repr, peel.inference_pvals.tolist())):
+            noisy[i] = val
     rejected = ["0"] * len(ids)
     for i in release.rejected_indices.tolist():
         rejected[i] = "1"
     lines = ["id,p,noisy_p,rejected"]
-    lines.extend(map("{},{},{},{}".format, ids, map(repr, pvals.tolist()), noisy, rejected))
+    lines.extend(map(",".join, zip(ids, tokens, noisy, rejected)))
     parts = [f"method={spec.name}", f"alpha={args.alpha!r}",
              f"j_star={release.j_star}", f"m_peel={release.m_peel}"]
     if release.adaptive_info is not None:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from suptest.baselines import classic_procedure
 from suptest import cli, simulate
@@ -238,6 +239,101 @@ def test_run_rejects_bad_input(tmp_path, capsys):
                      "--seed", "-1"]) == 2
         assert capsys.readouterr().err == \
             "error: seed must be a nonnegative integer, got -1\n"
+
+
+_PAD = st.sampled_from(["", "", "", " ", "\t"])
+_GOOD_P = st.one_of(st.floats(0.0, 1.0).map(repr),
+                    st.sampled_from(["0.10", "1E-3", ".5", "1", "0", "-0.0", "5e-324"]))
+_BAD_P = st.sampled_from(["nan", "inf", "-inf", "1.5", "-0.2", "oops", "", "0x1", "1e400", "1_0"])
+_ID = st.text(alphabet="hxP01 ", max_size=3)
+# (header, its width, the p column); None for a headerless column
+_HEADERS = [(None, 1, 0), (None, 2, 0), ("id,p", 2, 1), ("p,id", 2, 0), ("P", 1, 0),
+            ("id,x,p", 3, 2), (" ID , P ", 2, 1), ("x,p", 2, 1)]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Text of a p-value CSV: mostly even rows of the header's width with
+    valid p-values; sometimes ragged or short rows, a bad token, padding,
+    blank lines, CRLF line ends or a byte-order mark."""
+    header, width, p_col = draw(st.sampled_from(_HEADERS))
+    lines = [header] if header else []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        n = draw(st.integers(1, 4)) if kind == 0 else width
+        fields = draw(st.lists(_ID, min_size=n, max_size=n))
+        if p_col < n:
+            fields[p_col] = draw(_BAD_P if kind == 1 else _GOOD_P)
+        lines.append(",".join(draw(_PAD) + f + draw(_PAD) for f in fields))
+        if kind == 2:
+            lines.append(draw(st.sampled_from(["", " ", "\t \t"])))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def _parse_outcome(parse, text):
+    try:
+        ids, tokens, pvals = parse(text)
+    except cli.UsageError as e:
+        return str(e)
+    return ids, tokens, pvals.dtype.str, pvals.tobytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_texts())
+def test_parse_matches_the_line_numbered_loop(tmp_path, text):
+    # the column-wise path and the loop give the same ids, the same tokens
+    # and bit-equal values, or the same error
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    read = cli._read_text(str(path))
+    assert _parse_outcome(cli._parse_pvalue_csv, read) == _parse_outcome(cli._parse_rows, read)
+
+
+def test_parse_reads_even_rows_by_column(monkeypatch):
+    # even rows never reach the loop, which stays the path for bad lines
+    def loop(text):
+        raise AssertionError("the line-numbered loop ran")
+    monkeypatch.setattr(cli, "_parse_rows", loop)
+    ids, tokens, pvals = cli._parse_pvalue_csv("id,p\n\na, 0.10\nb,1E-3 \n  c,.5\n")
+    assert ids == ["a", "b", "c"] and tokens == ["0.10", "1E-3", ".5"]
+    assert pvals.tolist() == [0.1, 0.001, 0.5]
+    assert cli._parse_pvalue_csv("0.25\n1\n")[0] == ["1", "2"]
+
+
+def test_run_echoes_the_input_tokens(pfile, tmp_path, capsys):
+    # the p column, and a classic method's noisy_p, echo each input field
+    # with surrounding whitespace stripped; a private release is the same
+    # as for the same values written with repr
+    path, p = pfile
+    rows = path.read_text().split("\n")
+    odd = ["0.10", "1E-3", " 0.5 ", ".5"]
+    p[:4] = [float(t) for t in odd]
+    _write_pvals(path, p)
+    echoed = tmp_path / "echoed.csv"
+    echoed.write_text("\n".join(rows[:1] + [f"h{i}, {t}" for i, t in enumerate(odd)]
+                                + rows[5:]))
+    tokens = [t.strip() for t in odd] + [repr(float(v)) for v in p[4:]]
+
+    def run(src, method, *options):
+        assert main(["run", "--input", str(src), "--method", method, "--seed", "5",
+                     *options]) == 0
+        out = capsys.readouterr().out.strip().split("\n")
+        return [row.split(",") for row in out[1:-1]], out[-1]
+
+    body, summary = run(echoed, "bh")
+    assert [row[1] for row in body] == tokens
+    assert [row[2] for row in body] == tokens
+    plain, plain_summary = run(path, "bh")
+    assert [row[3] for row in body] == [row[3] for row in plain]
+    assert summary == plain_summary
+    for method, options in (("sup-bh", ["--m-peel", "40"]), ("asup-bh", ["--m-tilde", "10"])):
+        body, summary = run(echoed, method, *options)
+        assert [row[1] for row in body] == tokens
+        plain, plain_summary = run(path, method, *options)
+        assert [row[2:] for row in body] == [row[2:] for row in plain]
+        assert summary == plain_summary
 
 
 def test_run_unknown_method(pfile, capsys):

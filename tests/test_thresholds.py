@@ -332,6 +332,13 @@ def test_releases_name_both_counts_when_m_peel_exceeds_m(release):
         _RELEASES[release]([0.5, 1e-9])
 
 
+@pytest.mark.parametrize("release", sorted(_RELEASES))
+def test_releases_refuse_empty_pvalues(release):
+    # the empty-input rule comes before any depth check
+    with pytest.raises(ValueError, match=r"^p-value array is empty$"):
+        _RELEASES[release]([])
+
+
 def test_exact_zero_and_one_pvalues_are_valid():
     p = np.array([0.0, 1.0, 0.5, 1e-9])
     for release in _RELEASES.values():

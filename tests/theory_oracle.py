@@ -66,7 +66,7 @@ def truncated_sup_test(
     shared stream yields a shared inference row. The release carries no
     budget, since the calibration does not cover it.
     """
-    p = np.asarray(pvals, dtype=float)
+    p = checked_pvalues(pvals)
     if config.m_peel > p.size:
         raise ValueError(
             f"m_peel ({config.m_peel}) cannot exceed the number of hypotheses ({p.size})")
