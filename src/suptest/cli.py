@@ -21,6 +21,7 @@ import numpy as np
 from .numerics import RandomStream
 from .privacy import PrivacyBudget, calibrate_peeling_scales, gdp_to_approx_dp_delta
 from .simulate import (
+    CLASSIC_METHODS,
     OPTION_TYPES,
     MethodSpec,
     SimScenario,
@@ -51,6 +52,12 @@ def _columns(first: str):
     return cols.index("p"), cols.index("id") if "id" in cols else None, True
 
 
+def _plain(token: str) -> bool:
+    """False for text float() reads but other CSV readers do not: digit
+    separators (0.0_1) and non-ASCII digits."""
+    return "_" not in token and token.isascii()
+
+
 def _parse_rows(text: str):
     """The line-numbered loop of `_parse_pvalue_csv`: one row at a time, so
     a bad row is named by its line."""
@@ -70,6 +77,8 @@ def _parse_rows(text: str):
         if len(fields) < width:
             raise UsageError(f"line {ln}: expected at least {width} fields")
         try:
+            if not _plain(fields[p_col]):
+                raise ValueError
             p = float(fields[p_col])
         except ValueError:
             raise UsageError(f"line {ln}: cannot parse p-value {fields[p_col]!r}")
@@ -90,8 +99,9 @@ def _parse_pvalue_csv(text: str):
     commas, enough for the p and id columns, the rows are joined and split
     once, the p column is converted with one map(float, ...) and checked
     against [0, 1] at once. Ragged or short rows, a field that is not a
-    number and a value outside [0, 1] fall back to `_parse_rows`, the
-    line-numbered loop, which reads them or names the bad line.
+    plain ASCII number (see _plain) and a value outside [0, 1] fall back to
+    `_parse_rows`, the line-numbered loop, which reads them or names the
+    bad line.
     """
     rows = [line for line in map(str.strip, text.splitlines()) if line]
     if rows:
@@ -103,6 +113,8 @@ def _parse_pvalue_csv(text: str):
             fields = ",".join(data).split(",")
             tokens = list(map(str.strip, fields[p_col::step]))
             try:
+                if not _plain("".join(tokens)):
+                    raise ValueError
                 pvals = np.fromiter(map(float, tokens), float, len(tokens))
             except ValueError:
                 return _parse_rows(text)
@@ -133,7 +145,7 @@ def cmd_run(args) -> int:
 
     # the two release columns, indexed by row; a classic procedure releases
     # every input p-value as it is, so its noisy_p echoes the input token
-    if spec.name in ("bh", "by", "bonf", "holm"):
+    if spec.name in CLASSIC_METHODS:
         noisy = tokens
     else:
         peel = release.peeled

@@ -18,8 +18,9 @@ quantiles near the bottom of the keys; the peel order's law does not.
 
 The forward baseline of the log-scale comparators runs the same rounds
 with Laplace noise on log p-values, and keeps each round's winning key.
-Both peels call _peel_rounds at every scale: it checks the depth, and at
-scale 0 it returns the stable sort order of the keys and draws nothing.
+Both call _peel_rounds at every scale, which checks the depth, sorts the
+bottom of the keys (all m if m_peel = m) and the rest only if a round's
+tail sample needs them, and at scale 0 draws nothing.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, stream: RandomStream,
     q_j + z_j, z fresh i.i.d. noise of the given kind and scale with CDF F,
     drawn from one generator on stream. Equal keys go to the survivor first
     in (q, index) order, so among equal p-values with equal noise to the
-    smallest index. At scale 0 nothing is drawn: order is the stable sort
-    order of q and won its sorted values.
+    smallest index. At scale 0 nothing is drawn: order is the first m_peel
+    of the stable sort order of q and won their values.
 
     The survivors are kept sorted by q, with their indices; peeling one
     moves the survivors in front of it up one place. A round draws z for
@@ -118,43 +119,80 @@ def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, stream: RandomStream,
     too: the head keys are exact draws, the kept tail keys exact
     conditional draws, and a survivor not kept has a key of at least M,
     so it is neither the argmin nor the minimum.
+
+    Only the bottom of q is sorted up front (_sorted_bottom): every key up
+    to the first above q_(m_peel) + w. Round s's first survivor is at most
+    q_(s+1) <= q_(m_peel), so its head and smallest tail key lie in this
+    block. The rest is sorted when a binomial count is first positive, before
+    gen.choice maps tail positions to survivors; until then every winner is
+    in the head and no key moves past the block, so every generator call
+    gets the values it gets after a full sort of q.
     """
     m = q.size
     if m_peel < 1:
         raise ValueError("m_peel must be a positive integer")
     if m_peel > m:
         raise ValueError(f"m_peel ({m_peel}) cannot exceed the number of hypotheses ({m})")
-    idx = np.argsort(q, kind="stable")
+    width = 0.0 if scale == 0.0 else _head_width(scale, m, noise_kind)
+    idx, block = _sorted_bottom(q, m_peel, width)
     if scale == 0.0:
         order = idx[:m_peel]
         return order, q[order]
     gen = stream.generator()
+    draw, binomial = draw_noise, gen.binomial
     qs = q[idx]
-    width = _head_width(scale, m, noise_kind)
+    search = qs.searchsorted
     order = np.empty(m_peel, dtype=np.intp)
     won = np.empty(m_peel)
-    # round s: the survivors are qs[s:] with indices idx[s:], sorted by q;
-    # qs[:s] stays nondecreasing, so qs is searched whole
+    # round s: the survivors are qs[s:] with indices idx[s:], sorted by q,
+    # and the keys outside the block until _sort_rest appends them; qs[:s]
+    # stays nondecreasing, so qs is searched whole
     for s in range(m_peel):
-        e = int(qs.searchsorted(qs[s] + width, side="right"))
-        key = qs[s:e] + draw_noise(gen, scale, e - s, noise_kind)
-        best = s + int(key.argmin())
-        low = key[best - s]
+        e = search(qs[s] + width, "right")
+        key = draw(gen, scale, e - s, noise_kind)
+        key += qs[s:e]
+        best = key.argmin()
+        low = key[best]
+        best += s
         if e < m:
-            best, low = _tail_winner(qs, e, best, low, scale, gen, noise_kind)
+            f_head = _noise_cdf(low - qs[e], scale, noise_kind)
+            n = binomial(m - e, f_head)
+            if n and block is not None:
+                qs, idx = _sort_rest(q, qs, idx, block)
+                block, search = None, qs.searchsorted
+            best, low = _tail_winner(qs, e, best, low, f_head, n, scale, gen, noise_kind)
         order[s], won[s] = idx[best], low
-        qs[s + 1:best + 1] = qs[s:best]
-        idx[s + 1:best + 1] = idx[s:best]
+        if best > s:
+            qs[s + 1:best + 1] = qs[s:best]
+            idx[s + 1:best + 1] = idx[s:best]
     return order, won
 
 
-def _tail_winner(qs, e, best, low, scale, gen, noise_kind) -> tuple:
+def _sorted_bottom(q: np.ndarray, m_peel: int, width: float) -> tuple:
+    """(idx, block): idx the block in stable (q, index) order, the start of
+    the full stable sort order; block, every key up to the first one above
+    q_(m_peel) + width and all its ties, as a mask, or None when it is all
+    of q."""
+    if m_peel < q.size:
+        above = q[q > np.partition(q, m_peel - 1)[m_peel - 1] + width]
+        if above.size:
+            block = q <= above.min()
+            idx = np.flatnonzero(block)
+            return idx[np.argsort(q[idx], kind="stable")], block
+    return np.argsort(q, kind="stable"), None
+
+
+def _sort_rest(q: np.ndarray, qs: np.ndarray, idx: np.ndarray, block: np.ndarray) -> tuple:
+    """qs and idx followed by the keys outside the block in stable order."""
+    rest = np.flatnonzero(~block)
+    rest = rest[np.argsort(q[rest], kind="stable")]
+    return np.concatenate((qs, q[rest])), np.concatenate((idx, rest))
+
+
+def _tail_winner(qs, e, best, low, f_head, n, scale, gen, noise_kind) -> tuple:
     """(position, key) of the round's winner given the head's winner best
-    with key low: the tail survivors qs[e:] that beat low are sampled as
-    _peel_rounds describes, and the smallest key wins, the first in q
-    order among equal keys."""
-    f_head = _noise_cdf(low - qs[e], scale, noise_kind)
-    n = gen.binomial(qs.size - e, f_head)
+    with key low: n ~ Binomial(qs.size - e, f_head) tail survivors are sampled
+    as _peel_rounds describes; the smallest key wins, the first among ties."""
     if n == 0:
         return best, low
     pos = e + np.sort(gen.choice(qs.size - e, n, replace=False))
@@ -164,8 +202,8 @@ def _tail_winner(qs, e, best, low, scale, gen, noise_kind) -> tuple:
     if pos.size == 0:
         return best, low
     key = qs[pos] + _noise_quantile((1.0 - gen.random(pos.size)) * f, scale, noise_kind)
-    i = int(key.argmin())
-    return (int(pos[i]), key[i]) if key[i] < low else (best, low)
+    i = key.argmin()
+    return (pos[i], key[i]) if key[i] < low else (best, low)
 
 
 def _head_width(scale: float, m: int, noise_kind: str) -> float:
@@ -189,11 +227,13 @@ def _head_width(scale: float, m: int, noise_kind: str) -> float:
 
 
 def _noise_cdf(x, scale: float, noise_kind: str):
-    """CDF of the noise at x."""
+    """CDF of the noise at x, a float for a scalar x."""
     if noise_kind == "gaussian":
         return ndtr(x / scale)
-    half = 0.5 * np.exp(-np.abs(x) / scale)
-    return np.where(x > 0.0, 1.0 - half, half)
+    half = 0.5 * np.exp(-abs(x) / scale)
+    if isinstance(x, np.ndarray):
+        return np.where(x > 0.0, 1.0 - half, half)
+    return 1.0 - half if x > 0.0 else half
 
 
 def _noise_quantile(u: np.ndarray, scale: float, noise_kind: str) -> np.ndarray:

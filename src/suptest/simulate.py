@@ -22,6 +22,7 @@ from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
 from .thresholds import Release, TestConfig, resolve_scales, sup_test
 
 __all__ = [
+    "CLASSIC_METHODS",
     "METHOD_NAMES",
     "METRIC_NAMES",
     "OPTION_TYPES",
@@ -37,8 +38,11 @@ __all__ = [
     "full_scenario",
 ]
 
+# the classic procedures, which release the raw p-values
+CLASSIC_METHODS = ("bh", "by", "bonf", "holm")
+
 METHOD_NAMES = (
-    "bh", "by", "bonf", "holm",
+    *CLASSIC_METHODS,
     "sup-bh", "sup-by", "sup-bonf", "sup-holm",
     "asup-bh", "asup-bonf",
     "dp-bh", "dp-bonf",
@@ -224,7 +228,7 @@ def run_method(spec: MethodSpec, pvals, alpha: float, stream: RandomStream) -> R
     to a procedure, for the simulator and `suptest run` alike. Each
     procedure returns its own Release."""
     name = spec.name
-    if name in ("bh", "by", "bonf", "holm"):
+    if name in CLASSIC_METHODS:
         return classic_procedure(pvals, name, alpha)
     if name.startswith("dp-"):
         return dp_test(pvals, spec.dwork, alpha, stream, spec.config.family)

@@ -2,10 +2,16 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings
 
 from suptest.simulate import MethodSpec, SimScenario, run_replications
 
 DESK_SEED = 11
+
+# `pytest --hypothesis-profile=ci`, as the CI workflow runs: every run draws
+# the same examples, and a failure prints the blob that replays it
+# (`@reproduce_failure`), so a red CI run reproduces locally
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 _ACCEPTANCE_LINES = []
 

@@ -207,6 +207,14 @@ def test_run_rejects_bad_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err and "outside" in err
 
+    # float() reads digit separators and non-ASCII digits, other CSV
+    # readers do not; both parse paths refuse them and name the line
+    for token in ("0.0_1", "\u0660.\u0665"):
+        odd = tmp_path / "odd.csv"
+        odd.write_text(f"id,p\na,0.2\nb,{token}\n", encoding="utf-8")
+        assert main(["run", "--input", str(odd), "--method", "bh"]) == 2
+        assert capsys.readouterr().err == f"error: line 3: cannot parse p-value {token!r}\n"
+
     # a row short of the id column, which comes after the p column
     short = tmp_path / "short.csv"
     short.write_text("p,id\n0.2,a\n0.5\n")
@@ -244,7 +252,8 @@ def test_run_rejects_bad_input(tmp_path, capsys):
 _PAD = st.sampled_from(["", "", "", " ", "\t"])
 _GOOD_P = st.one_of(st.floats(0.0, 1.0).map(repr),
                     st.sampled_from(["0.10", "1E-3", ".5", "1", "0", "-0.0", "5e-324"]))
-_BAD_P = st.sampled_from(["nan", "inf", "-inf", "1.5", "-0.2", "oops", "", "0x1", "1e400", "1_0"])
+_BAD_P = st.sampled_from(["nan", "inf", "-inf", "1.5", "-0.2", "oops", "", "0x1", "1e400", "1_0",
+                          "0.0_1", "\u0660.\u0665", "\uff10.5", "5e-0_1"])
 _ID = st.text(alphabet="hxP01 ", max_size=3)
 # (header, its width, the p column); None for a headerless column
 _HEADERS = [(None, 1, 0), (None, 2, 0), ("id,p", 2, 1), ("p,id", 2, 0), ("P", 1, 0),

@@ -5,11 +5,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import chdtrc
 
 from dense_oracle import dense_reversed_peel, generate_noisy_matrix
 from forward_oracle import forward_peel_delete
+from sorted_peel_oracle import sorted_peel_rounds
 from suptest import peeling
 from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
 from suptest.baselines import DworkParams, dp_test
@@ -303,6 +304,56 @@ def test_forward_peel_equals_delete_reference(case):
         assert len(set(got[0].tolist())) == m_peel
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+@st.composite
+def _round_cases(draw):
+    """Keys with many ties (a few integers) or none, a depth that is often
+    1 or m, a scale that is often 0, a noise kind, the default or a narrow
+    head (TAIL_CANDIDATES = 50, so rounds often sample their tail), and a
+    stream seed."""
+    m = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        keys = rng.integers(0, draw(st.integers(1, 6)), m).astype(float)
+    else:
+        keys = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 8.0])), m)
+    m_peel = draw(st.one_of(st.just(1), st.just(m), st.integers(1, m)))
+    scale = draw(st.sampled_from([0.0, 1e-3, 0.5, 4.0, 10.0]))
+    kind = draw(st.sampled_from(["gaussian", "laplace"]))
+    tail_candidates = draw(st.sampled_from([peeling.TAIL_CANDIDATES, 50.0]))
+    return keys, m_peel, scale, kind, tail_candidates, draw(st.integers(0, 2**32 - 1))
+
+
+def test_peel_rounds_match_full_sort_oracle():
+    # the rounds sort only the bottom of the keys, and the rest when a tail
+    # sample first needs it; the order, the winning keys and so every draw
+    # must be those of the rounds that sort all m keys first, byte for byte
+    sorted_rest = []
+    sort_rest = peeling._sort_rest
+
+    def counting_sort_rest(*args):
+        sorted_rest.append(1)
+        return sort_rest(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_round_cases())
+    # a tail survivor past the block wins, after which a round's head
+    # reaches past the block's old end: the search must then cover all keys
+    @example((np.array([0.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 2.0, 2.0, 0.0]), 6, 10.0,
+              "gaussian", 50.0, 496133505))
+    def check(case):
+        keys, m_peel, scale, kind, tail_candidates, seed = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(peeling, "TAIL_CANDIDATES", tail_candidates)
+            patch.setattr(peeling, "_sort_rest", counting_sort_rest)
+            got = peeling._peel_rounds(keys.copy(), m_peel, scale, RandomStream(seed), kind)
+            want = sorted_peel_rounds(keys.copy(), m_peel, scale, RandomStream(seed), kind)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    check()
+    # some peels sorted their rest on demand and still matched
+    assert sorted_rest
 
 
 @pytest.mark.parametrize("tail_candidates", [peeling.TAIL_CANDIDATES, 50.0],
