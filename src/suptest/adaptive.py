@@ -100,9 +100,13 @@ def pi0_inv_bar(pvals, tau: float, c0: float) -> float:
     always in (0, 1/c0]."""
     if not 0.0 < c0 < 1.0:
         raise ValueError("c0 must lie in (0,1)")
-    p = checked_pvalues(pvals)
-    denom_floor = c0 * p.size * (1.0 - tau) * e_tau(tau)
-    num = p.size * (1.0 - tau) * e_tau(tau)
+    return _pi0_inv_bar(checked_pvalues(pvals), tau, c0, e_tau(tau))
+
+
+def _pi0_inv_bar(p: np.ndarray, tau: float, c0: float, e: float) -> float:
+    # e = e_tau(tau), which a release computes once for this and gs_pi0_inv
+    denom_floor = c0 * p.size * (1.0 - tau) * e
+    num = p.size * (1.0 - tau) * e
     return num / max(_excess_sum(p, tau), denom_floor)
 
 
@@ -116,7 +120,11 @@ def gs_pi0_inv(gs: float, tau: float, c0: float) -> float:
         raise ValueError("tau must lie in (0,1)")
     if gs == 0.0:
         return 0.0
-    return 1.0 / c0 - 1.0 / (c0 + gs / ((1.0 - tau) * e_tau(tau)))
+    return _gs_pi0_inv(gs, tau, c0, e_tau(tau))
+
+
+def _gs_pi0_inv(gs: float, tau: float, c0: float, e: float) -> float:
+    return 1.0 / c0 - 1.0 / (c0 + gs / ((1.0 - tau) * e))
 
 
 def peel_count_m_dagger(pi0_val: float, m: int, cfg: AdaptiveConfig,
@@ -169,11 +177,13 @@ def adaptive_sup_test(
 
     gen = stream.child(0).generator()
     z = float(gen.standard_normal())
+    # config and acfg checked gs > 0, tau and c0 when they were built
+    e = e_tau(acfg.tau)
     if config.sigma_override is not None:
         sigma_tau = 0.0
     else:
-        sigma_tau = gs_pi0_inv(config.gs, acfg.tau, acfg.c0) / mu_est
-    inv_bar = pi0_inv_bar(p, acfg.tau, acfg.c0)
+        sigma_tau = _gs_pi0_inv(config.gs, acfg.tau, acfg.c0, e) / mu_est
+    inv_bar = _pi0_inv_bar(p, acfg.tau, acfg.c0, e)
     p0_hat = pi0_hat(inv_bar, sigma_tau, z, acfg.c0)
 
     m_star = peel_count_m_dagger(p0_hat, p.size, acfg, config.alpha)

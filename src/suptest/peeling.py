@@ -15,6 +15,9 @@ them (see _peel_rounds). On 50,000 p-values a round draws tens to a few
 hundred noise values instead of 50,000, all from one generator on
 stream.child(1); memory is O(m). How much a round draws depends on the
 quantiles near the bottom of the keys; the peel order's law does not.
+Around its two generator calls, the head's noise and the tail's binomial
+count, a round does little: list reads of its scalars, a forward pointer
+for the head's end, one array add, an argmin and the noise CDF.
 
 The forward baseline of the log-scale comparators runs the same rounds
 with Laplace noise on log p-values, and keeps each round's winning key.
@@ -127,6 +130,18 @@ def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, stream: RandomStream,
     gen.choice maps tail positions to survivors; until then every winner is
     in the head and no key moves past the block, so every generator call
     gets the values it gets after a full sort of q.
+
+    Round s's head ends at e, the first position whose key exceeds
+    qs[s] + w, and e only moves forward. The bound qs[s] + w never
+    decreases: the next round's first key is qs[s] or qs[s + 1]. A peel
+    only rewrites positions s + 1 to best, each with the key one place
+    before it, which is no larger. So every position below e still holds a
+    key within the next round's bound, and that round's end lies at or
+    after e. Until _sort_rest the block's last key exceeds every bound; it
+    appends keys larger than the block's, and e moves on over them. The
+    scalars a round reads (qs[s], qs[e], its winner and its key) come from
+    the list copies qsl and idxl, shifted with qs; the array qs serves the
+    head's slice and the tail sample.
     """
     m = q.size
     if m_peel < 1:
@@ -141,31 +156,35 @@ def _peel_rounds(q: np.ndarray, m_peel: int, scale: float, stream: RandomStream,
     gen = stream.generator()
     draw, binomial = draw_noise, gen.binomial
     qs = q[idx]
-    search = qs.searchsorted
-    order = np.empty(m_peel, dtype=np.intp)
-    won = np.empty(m_peel)
-    # round s: the survivors are qs[s:] with indices idx[s:], sorted by q,
-    # and the keys outside the block until _sort_rest appends them; qs[:s]
-    # stays nondecreasing, so qs is searched whole
+    qsl, idxl = qs.tolist(), idx.tolist()
+    order, won = [], []
+    e = 0
     for s in range(m_peel):
-        e = search(qs[s] + width, "right")
+        bound = qsl[s] + width
+        while e < m and qsl[e] <= bound:
+            e += 1
         key = draw(gen, scale, e - s, noise_kind)
         key += qs[s:e]
-        best = key.argmin()
-        low = key[best]
+        best = int(key.argmin())
+        low = key.item(best)
         best += s
         if e < m:
-            f_head = _noise_cdf(low - qs[e], scale, noise_kind)
+            f_head = _noise_cdf(low - qsl[e], scale, noise_kind)
             n = binomial(m - e, f_head)
             if n and block is not None:
-                qs, idx = _sort_rest(q, qs, idx, block)
-                block, search = None, qs.searchsorted
+                rest = _sort_rest(q, block)
+                qs = np.concatenate((qs, q[rest]))
+                qsl += q[rest].tolist()
+                idxl += rest.tolist()
+                block = None
             best, low = _tail_winner(qs, e, best, low, f_head, n, scale, gen, noise_kind)
-        order[s], won[s] = idx[best], low
+        order.append(idxl[best])
+        won.append(low)
         if best > s:
             qs[s + 1:best + 1] = qs[s:best]
-            idx[s + 1:best + 1] = idx[s:best]
-    return order, won
+            qsl[s + 1:best + 1] = qsl[s:best]
+            idxl[s + 1:best + 1] = idxl[s:best]
+    return np.array(order, dtype=np.intp), np.array(won)
 
 
 def _sorted_bottom(q: np.ndarray, m_peel: int, width: float) -> tuple:
@@ -182,17 +201,17 @@ def _sorted_bottom(q: np.ndarray, m_peel: int, width: float) -> tuple:
     return np.argsort(q, kind="stable"), None
 
 
-def _sort_rest(q: np.ndarray, qs: np.ndarray, idx: np.ndarray, block: np.ndarray) -> tuple:
-    """qs and idx followed by the keys outside the block in stable order."""
+def _sort_rest(q: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The indices of the keys outside the block in stable (q, index) order."""
     rest = np.flatnonzero(~block)
-    rest = rest[np.argsort(q[rest], kind="stable")]
-    return np.concatenate((qs, q[rest])), np.concatenate((idx, rest))
+    return rest[np.argsort(q[rest], kind="stable")]
 
 
 def _tail_winner(qs, e, best, low, f_head, n, scale, gen, noise_kind) -> tuple:
-    """(position, key) of the round's winner given the head's winner best
-    with key low: n ~ Binomial(qs.size - e, f_head) tail survivors are sampled
-    as _peel_rounds describes; the smallest key wins, the first among ties."""
+    """(position, key), an int and a float, of the round's winner given the
+    head's winner best with key low: n ~ Binomial(qs.size - e, f_head) tail
+    survivors are sampled as _peel_rounds describes; the smallest key wins,
+    the first among ties."""
     if n == 0:
         return best, low
     pos = e + np.sort(gen.choice(qs.size - e, n, replace=False))
@@ -203,7 +222,7 @@ def _tail_winner(qs, e, best, low, f_head, n, scale, gen, noise_kind) -> tuple:
         return best, low
     key = qs[pos] + _noise_quantile((1.0 - gen.random(pos.size)) * f, scale, noise_kind)
     i = key.argmin()
-    return (pos[i], key[i]) if key[i] < low else (best, low)
+    return (int(pos[i]), key[i].item()) if key[i] < low else (best, low)
 
 
 def _head_width(scale: float, m: int, noise_kind: str) -> float:
@@ -230,6 +249,9 @@ def _noise_cdf(x, scale: float, noise_kind: str):
     """CDF of the noise at x, a float for a scalar x."""
     if noise_kind == "gaussian":
         return ndtr(x / scale)
+    # np.exp for a float too: math.exp can differ from it in the last bit,
+    # and _tail_winner keeps a tail survivor by comparing this function's
+    # array values with the float f_head of the smallest tail key
     half = 0.5 * np.exp(-abs(x) / scale)
     if isinstance(x, np.ndarray):
         return np.where(x > 0.0, 1.0 - half, half)

@@ -306,6 +306,22 @@ def test_forward_peel_equals_delete_reference(case):
     assert np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("noise_kind", ["gaussian", "laplace"])
+def test_noise_cdf_of_a_float_has_the_bits_of_an_array(noise_kind):
+    # a round's binomial count reads _noise_cdf of a float, and _tail_winner
+    # reads it of an array; both must be the one definition's same bits
+    g = np.random.default_rng(26)
+    xs = np.concatenate((g.uniform(-40.0, 0.0, 1_000), g.normal(0.0, 1e-3, 200),
+                         g.uniform(-80.0, -40.0, 200), g.uniform(0.0, 40.0, 200),
+                         [0.0, -0.0, -40.0, 5e-324, -5e-324]))
+    for scale in (1e-3, 1.0, 3.7):
+        for x in xs.tolist():
+            got = peeling._noise_cdf(x, scale, noise_kind)
+            want = peeling._noise_cdf(np.array([x]), scale, noise_kind)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == want.tobytes(), (x, scale)
+
+
 @st.composite
 def _round_cases(draw):
     """Keys with many ties (a few integers) or none, a depth that is often
@@ -329,12 +345,23 @@ def test_peel_rounds_match_full_sort_oracle():
     # the rounds sort only the bottom of the keys, and the rest when a tail
     # sample first needs it; the order, the winning keys and so every draw
     # must be those of the rounds that sort all m keys first, byte for byte
-    sorted_rest = []
-    sort_rest = peeling._sort_rest
+    sorted_rest, events = [], []
+    sort_rest, draw, tail_winner = peeling._sort_rest, peeling.draw_noise, peeling._tail_winner
 
     def counting_sort_rest(*args):
         sorted_rest.append(1)
         return sort_rest(*args)
+
+    def counting_draw(*args):
+        events.append("round")
+        return draw(*args)
+
+    def counting_tail_winner(qs, e, *args):
+        best, low = tail_winner(qs, e, *args)
+        if best >= e:
+            events.append("tail won")
+        return best, low
+    tail_then_more = []
 
     @settings(max_examples=300, deadline=None)
     @given(_round_cases())
@@ -342,18 +369,29 @@ def test_peel_rounds_match_full_sort_oracle():
     # reaches past the block's old end: the search must then cover all keys
     @example((np.array([0.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0, 2.0, 2.0, 0.0]), 6, 10.0,
               "gaussian", 50.0, 496133505))
+    # all keys sorted at once; tail survivors win rounds 4 and 6 of 8, so a
+    # shift rewrites the head's end position before later rounds
+    @example((np.array([2.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 8, 1.0,
+              "laplace", 50.0, 0))
     def check(case):
         keys, m_peel, scale, kind, tail_candidates, seed = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(peeling, "TAIL_CANDIDATES", tail_candidates)
             patch.setattr(peeling, "_sort_rest", counting_sort_rest)
+            patch.setattr(peeling, "draw_noise", counting_draw)
+            patch.setattr(peeling, "_tail_winner", counting_tail_winner)
+            events.clear()
             got = peeling._peel_rounds(keys.copy(), m_peel, scale, RandomStream(seed), kind)
+            if "tail won" in events and "round" in events[events.index("tail won"):]:
+                tail_then_more.append(1)
             want = sorted_peel_rounds(keys.copy(), m_peel, scale, RandomStream(seed), kind)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
     check()
-    # some peels sorted their rest on demand and still matched
+    # some peels sorted their rest on demand, and some peeled a tail
+    # survivor and went on with more rounds, and still matched
     assert sorted_rest
+    assert tail_then_more
 
 
 @pytest.mark.parametrize("tail_candidates", [peeling.TAIL_CANDIDATES, 50.0],
