@@ -81,18 +81,21 @@ def e_tau(tau: float) -> float:
     Q the standard normal quantile (truncated-normal mean)."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0,1)")
-    q = std_normal_quantile(tau)
-    return float(std_normal_pdf(q) / (1.0 - tau) - q)
+    return _e_tau(tau, std_normal_quantile(tau))
 
 
-def _excess_sum(p: np.ndarray, tau: float) -> float:
+def _e_tau(tau: float, q_tau: float) -> float:
+    # q_tau = Q(tau), which a release computes once for this and _excess_sum
+    return float(std_normal_pdf(q_tau) / (1.0 - tau) - q_tau)
+
+
+def _excess_sum(p: np.ndarray, tau: float, q_tau: float) -> float:
     # sum of Q(p_j) - Q(tau) over p_j > tau; zero at the boundary, so the
     # estimate is continuous in each p_j
     tail = p[p > tau]
     if tail.size == 0:
         return 0.0
-    return float(np.sum(std_normal_quantile(np.minimum(tail, 1.0 - 1e-16))
-                        - std_normal_quantile(tau)))
+    return float(np.sum(std_normal_quantile(np.minimum(tail, 1.0 - 1e-16)) - q_tau))
 
 
 def pi0_inv_bar(pvals, tau: float, c0: float) -> float:
@@ -100,14 +103,14 @@ def pi0_inv_bar(pvals, tau: float, c0: float) -> float:
     always in (0, 1/c0]."""
     if not 0.0 < c0 < 1.0:
         raise ValueError("c0 must lie in (0,1)")
-    return _pi0_inv_bar(checked_pvalues(pvals), tau, c0, e_tau(tau))
+    return _pi0_inv_bar(checked_pvalues(pvals), tau, c0, e_tau(tau), std_normal_quantile(tau))
 
 
-def _pi0_inv_bar(p: np.ndarray, tau: float, c0: float, e: float) -> float:
+def _pi0_inv_bar(p: np.ndarray, tau: float, c0: float, e: float, q_tau: float) -> float:
     # e = e_tau(tau), which a release computes once for this and gs_pi0_inv
     denom_floor = c0 * p.size * (1.0 - tau) * e
     num = p.size * (1.0 - tau) * e
-    return num / max(_excess_sum(p, tau), denom_floor)
+    return num / max(_excess_sum(p, tau, q_tau), denom_floor)
 
 
 def gs_pi0_inv(gs: float, tau: float, c0: float) -> float:
@@ -178,12 +181,11 @@ def adaptive_sup_test(
     gen = stream.child(0).generator()
     z = float(gen.standard_normal())
     # config and acfg checked gs > 0, tau and c0 when they were built
-    e = e_tau(acfg.tau)
-    if config.sigma_override is not None:
-        sigma_tau = 0.0
-    else:
-        sigma_tau = _gs_pi0_inv(config.gs, acfg.tau, acfg.c0, e) / mu_est
-    inv_bar = _pi0_inv_bar(p, acfg.tau, acfg.c0, e)
+    q_tau = std_normal_quantile(acfg.tau)
+    e = _e_tau(acfg.tau, q_tau)
+    sigma_tau = (0.0 if config.sigma_override is not None
+                 else _gs_pi0_inv(config.gs, acfg.tau, acfg.c0, e) / mu_est)
+    inv_bar = _pi0_inv_bar(p, acfg.tau, acfg.c0, e, q_tau)
     p0_hat = pi0_hat(inv_bar, sigma_tau, z, acfg.c0)
 
     m_star = peel_count_m_dagger(p0_hat, p.size, acfg, config.alpha)

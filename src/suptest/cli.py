@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or data error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from typing import Optional, get_type_hints
@@ -21,7 +22,7 @@ import numpy as np
 from .numerics import RandomStream
 from .privacy import PrivacyBudget, calibrate_peeling_scales, gdp_to_approx_dp_delta
 from .simulate import (
-    CLASSIC_METHODS,
+    METHODS,
     OPTION_TYPES,
     MethodSpec,
     SimScenario,
@@ -131,21 +132,16 @@ def _parse_pvalue_csv(text: str):
 _RUN_OPTIONS = [key for key in OPTION_TYPES if key not in ("zeta", "laplace_scale")]
 
 
-def _run_options(args) -> dict:
-    """The method options the user set; the others keep their defaults."""
-    return {key: getattr(args, key) for key in _RUN_OPTIONS
-            if getattr(args, key) is not None}
-
-
 def cmd_run(args) -> int:
-    spec = MethodSpec(args.method, options=_run_options(args))
+    spec = MethodSpec(args.method, options={key: getattr(args, key) for key in _RUN_OPTIONS
+                                            if getattr(args, key) is not None})
     stream = RandomStream(args.seed)
     ids, tokens, pvals = _parse_pvalue_csv(_read_text(args.input))
     release = run_method(spec, pvals, args.alpha, stream)
 
-    # the two release columns, indexed by row; a classic procedure releases
-    # every input p-value as it is, so its noisy_p echoes the input token
-    if spec.name in CLASSIC_METHODS:
+    # the two release columns, indexed by row; a method that releases every
+    # input p-value as it is (a classic procedure) echoes the input token
+    if METHODS[spec.name]["raw"]:
         noisy = tokens
     else:
         peel = release.peeled
@@ -258,12 +254,17 @@ def _parse_scenario_file(text: str) -> SimScenario:
         else:
             errors.append(f"unknown key {key!r}")
 
+    # unlike `suptest run` flags, a file sets options per method: refuse unread ones
     specs = []
     for label in labels:
         try:
-            specs.append(MethodSpec(name=names[label], label=label, options=options[label]))
+            spec = MethodSpec(name=names[label], label=label, options=options[label])
         except ValueError as e:
             errors.append(f"method {label!r}: {e}")
+            continue
+        errors.extend(f"method {label!r}: option {opt!r} is not read by {spec.name}"
+                      for opt in spec.options if opt not in METHODS[spec.name]["reads"])
+        specs.append(spec)
 
     if errors:
         raise UsageError("invalid scenario:\n  " + "\n  ".join(errors))
@@ -282,17 +283,12 @@ def cmd_simulate(args) -> int:
         scenario = desk_scenario() if args.preset == "desk" else full_scenario()
     overrides = {k: getattr(args, k) for k in ("m", "m1", "reps", "seed")
                  if getattr(args, k) is not None}
-    if overrides:
-        try:
-            scenario = dataclasses.replace(scenario, **overrides)
-        except ValueError as e:
-            raise UsageError(f"invalid scenario: {e}")
-
-    if not args.output:
-        sys.stdout.write(run_replications(scenario).to_csv())
-        return 0
+    try:
+        scenario = dataclasses.replace(scenario, **overrides)
+    except ValueError as e:
+        raise UsageError(f"invalid scenario: {e}")
     # opened before the study runs, so a bad path fails at once
-    with _open_output(args.output) as fh:
+    with _open_output(args.output) if args.output else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(run_replications(scenario).to_csv())
     return 0
 
@@ -341,10 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", default=None)
     sim.add_argument("--preset", choices=("desk", "full"), default=None)
     sim.add_argument("--output", default=None)
-    sim.add_argument("--m", type=int, default=None)
-    sim.add_argument("--m1", type=int, default=None)
-    sim.add_argument("--reps", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
+    for key in ("m", "m1", "reps", "seed"):
+        sim.add_argument("--" + key, type=int, default=None)
     sim.set_defaults(func=cmd_simulate)
 
     priv = sub.add_parser("privacy", help="budget conversions and calibration")

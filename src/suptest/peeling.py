@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RandomStream, ndtr, ndtri, std_normal_quantile
+from .numerics import RandomStream, ndtr, ndtri
 from .privacy import NoiseScales
 from .transform import NOISE_KINDS, clamp_pvalues, draw_noise, key_to_noisy_p
 
@@ -82,7 +82,7 @@ def reversed_peel(
     pc = clamp_pvalues(pvals)
     if noise_kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
-    q = None if scales.sigma0 == scales.sigma1 == 0.0 else std_normal_quantile(pc)
+    q = None if scales.sigma0 == scales.sigma1 == 0.0 else ndtri(pc)  # pc lies in (0, 1)
     keys = pc if scales.sigma1 == 0.0 else q
     order = _peel_rounds(keys, m_peel, scales.sigma1, stream.child(1), noise_kind)[0]
     if scales.sigma0 == 0.0:

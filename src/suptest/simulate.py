@@ -1,9 +1,11 @@
-"""Synthetic data generation and the replication engine.
+"""Synthetic data generation, the method table and the replication engine.
 
-Scenarios draw correlated normal test statistics, convert them to p-values
-via p_j = Phi(T_j - theta_j), and run a configurable list of methods over
-independent replicates. Metrics are averaged with Monte Carlo standard
-errors and exported as CSV rows `method,metric,mean,stderr,reps`.
+METHODS gives each method name its one row, which run_method, MethodSpec,
+SimScenario and `suptest run` read. Scenarios draw correlated normal test
+statistics, convert them to p-values via p_j = Phi(T_j - theta_j), and run
+a configurable list of methods over independent replicates. Metrics are
+averaged with Monte Carlo standard errors and exported as CSV rows
+`method,metric,mean,stderr,reps`.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from .adaptive import AdaptiveConfig, adaptive_sup_test
 from .baselines import DworkParams, classic_procedure, dp_test
 from .numerics import RandomStream, std_normal_cdf, usable_cores
 from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
-from .thresholds import Release, TestConfig, resolve_scales, sup_test
+from .thresholds import FAMILIES, Release, TestConfig, resolve_scales, sup_test
 
 __all__ = [
+    "METHODS",
     "CLASSIC_METHODS",
     "METHOD_NAMES",
     "METRIC_NAMES",
@@ -38,15 +41,51 @@ __all__ = [
     "full_scenario",
 ]
 
-# the classic procedures, which release the raw p-values
-CLASSIC_METHODS = ("bh", "by", "bonf", "holm")
 
-METHOD_NAMES = (
-    *CLASSIC_METHODS,
-    "sup-bh", "sup-by", "sup-bonf", "sup-holm",
-    "asup-bh", "asup-bonf",
-    "dp-bh", "dp-bonf",
-)
+def _classic(spec, pvals, alpha, stream):
+    return classic_procedure(pvals, spec.config.family, alpha)
+
+
+def _sup(spec, pvals, alpha, stream):
+    return sup_test(pvals, replace(spec.config, alpha=alpha), stream)
+
+
+def _asup(spec, pvals, alpha, stream):
+    return adaptive_sup_test(pvals, replace(spec.config, alpha=alpha), spec.adaptive, stream)
+
+
+def _dp(spec, pvals, alpha, stream):
+    return dp_test(pvals, spec.dwork, alpha, stream, spec.config.family)
+
+
+_PEEL_READS = {"tau", "mu", "eps", "delta", "sigma0", "sigma1", "zeta", "gs", "noise"}
+_DP_READS = {"tau", "eps", "delta", "eta", "nu", "laplace_scale"}
+_GAUSSIAN_ONLY = {"noise": (("gaussian",), "adaptive test supports gaussian noise only")}
+_EPS_DELTA_ONLY = {key: ((), f"option {key!r} does not apply to the dp-* baselines, which take "
+                             "an (eps, delta) budget") for key in ("mu", "sigma0", "sigma1")}
+
+# One row per method: run(spec, pvals, alpha, stream), which returns its
+# Release; the options it reads (tau for all: the v_tau_frac cut); the spec
+# config whose m_peel is its depth (None: it peels m or clamps to m); whether
+# it releases the raw p-values; limits, option -> (values accepted, refusal).
+METHODS = {
+    **{fam: {"run": _classic, "reads": {"tau"}, "depth": None, "raw": True, "limits": {}}
+       for fam in FAMILIES},
+    **{"sup-" + fam: {"run": _sup, "reads": _PEEL_READS | {"m_peel"}, "depth": "config",
+                      "raw": False, "limits": {}} for fam in FAMILIES},
+    **{"asup-" + fam: {"run": _asup, "reads": _PEEL_READS | {"c", "m_tilde", "c0", "rho"},
+                       "depth": None, "raw": False, "limits": _GAUSSIAN_ONLY}
+       for fam in ("bh", "bonf")},
+    "dp-bh": {"run": _dp, "reads": _DP_READS | {"m_peel"}, "depth": "dwork", "raw": False,
+              "limits": _EPS_DELTA_ONLY},
+    "dp-bonf": {"run": _dp, "reads": _DP_READS, "depth": None, "raw": False,
+                "limits": _EPS_DELTA_ONLY},
+}
+
+METHOD_NAMES = tuple(METHODS)
+
+# the classic procedures, which release the raw p-values
+CLASSIC_METHODS = tuple(name for name, row in METHODS.items() if row["raw"])
 
 METRIC_NAMES = ("fdr", "fwer", "power", "n_reject", "v_tau_frac")
 
@@ -104,18 +143,11 @@ class MethodSpec:
     dwork: DworkParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in METHOD_NAMES:
+        if self.name not in METHODS:
             raise ValueError(f"unknown method {self.name!r}")
         if self.label is None:
             object.__setattr__(self, "label", self.name)
         options = {key: option_value(key, val) for key, val in self.options.items()}
-        if self.name.startswith("dp-"):
-            # options of the quantile-scale tests that would silently change
-            # nothing in the log-scale comparators
-            for key in ("mu", "sigma0", "sigma1"):
-                if key in options:
-                    raise ValueError(f"option {key!r} does not apply to the dp-* baselines, "
-                                     "which take an (eps, delta) budget")
         object.__setattr__(self, "options", options)
         budget = (PrivacyBudget.gdp(options["mu"]) if "mu" in options
                   else _configured(PrivacyBudget, options, **vars(EXPERIMENT_BUDGET)))
@@ -125,8 +157,9 @@ class MethodSpec:
             s0 = options.get("sigma0", 0.0)
             given["sigma_override"] = (s0, options.get("sigma1", 2.0 * s0))
         config = _configured(TestConfig, options, **given)
-        if self.name.startswith("asup-") and config.noise_kind != "gaussian":
-            raise ValueError("adaptive test supports gaussian noise only")
+        for key, (accepted, why) in METHODS[self.name]["limits"].items():
+            if key in options and options[key] not in accepted:
+                raise ValueError(why)
         resolve_scales(config, config.m_peel)  # refuses laplace noise with a mu budget
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "adaptive", _configured(AdaptiveConfig, options))
@@ -174,14 +207,9 @@ class SimScenario:
         labels = [s.label for s in self.methods]
         if len(set(labels)) != len(labels):
             raise ValueError("method labels must be unique")
-        # asup-* clamp m* to m, and the classic methods and dp-bonf peel m
         for spec in self.methods:
-            if spec.name.startswith("sup-"):
-                depth = spec.config.m_peel
-            elif spec.name == "dp-bh":
-                depth = spec.dwork.m_peel
-            else:
-                continue
+            rule = METHODS[spec.name]["depth"]
+            depth = getattr(spec, rule).m_peel if rule else 0
             if depth > self.m:
                 raise ValueError(f"method {spec.label!r}: m_peel ({depth}) cannot exceed "
                                  f"m ({self.m})")
@@ -224,18 +252,9 @@ def gen_pvalues(scenario: SimScenario, stream: RandomStream) -> LabeledPValues:
 
 
 def run_method(spec: MethodSpec, pvals, alpha: float, stream: RandomStream) -> Release:
-    """Run one registered method; the only place a method name is mapped
-    to a procedure, for the simulator and `suptest run` alike. Each
-    procedure returns its own Release."""
-    name = spec.name
-    if name in CLASSIC_METHODS:
-        return classic_procedure(pvals, name, alpha)
-    if name.startswith("dp-"):
-        return dp_test(pvals, spec.dwork, alpha, stream, spec.config.family)
-    cfg = replace(spec.config, alpha=alpha)
-    if name.startswith("sup-"):
-        return sup_test(pvals, cfg, stream)
-    return adaptive_sup_test(pvals, cfg, spec.adaptive, stream)
+    """Run spec's method at level alpha by its row of METHODS, for the
+    simulator and `suptest run` alike; returns the method's Release."""
+    return METHODS[spec.name]["run"](spec, pvals, alpha, stream)
 
 
 def _metrics(rejected: np.ndarray, data: LabeledPValues, tau: float) -> dict:
@@ -279,7 +298,7 @@ class MetricsTable:
 
 
 def _one_rep(scenario: SimScenario, rep: int) -> list:
-    """The (label, metrics) rows of replicate rep, one per method.
+    """The metrics of replicate rep, one dict per method in scenario order.
 
     Replicate rep draws only from RandomStream(scenario.seed, rep): the
     data from child 0 and method i from child 1 + i."""
@@ -288,7 +307,7 @@ def _one_rep(scenario: SimScenario, rep: int) -> list:
     rows = []
     for mi, spec in enumerate(scenario.methods):
         release = run_method(spec, data.pvals, scenario.alpha, root.child(1 + mi))
-        rows.append((spec.label, _metrics(release.rejected_indices, data, spec.adaptive.tau)))
+        rows.append(_metrics(release.rejected_indices, data, spec.adaptive.tau))
     return rows
 
 
@@ -334,44 +353,28 @@ def run_replications(scenario: SimScenario) -> MetricsTable:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
             per_rep = list(pool.map(_one_rep, *args))
-    acc = {s.label: {k: np.empty(reps) for k in METRIC_NAMES} for s in scenario.methods}
-    for rep, rows in enumerate(per_rep):
-        for label, metrics in rows:
-            for k, val in metrics.items():
-                acc[label][k][rep] = val
+    labels = tuple(s.label for s in scenario.methods)
     table = {}
-    for label, per_metric in acc.items():
-        for k, vals in per_metric.items():
-            mean = float(np.mean(vals))
+    for i, label in enumerate(labels):
+        for k in METRIC_NAMES:
+            vals = np.array([rows[i][k] for rows in per_rep])
             se = float(np.std(vals, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-            table[(label, k)] = (mean, se)
-    return MetricsTable(tuple(s.label for s in scenario.methods), reps, table)
+            table[(label, k)] = (float(np.mean(vals)), se)
+    return MetricsTable(labels, reps, table)
 
 
-def _default_methods() -> tuple:
-    return (
-        MethodSpec("bh"),
-        MethodSpec("sup-bh"),
-        MethodSpec("sup-by"),
-        MethodSpec("sup-bonf"),
-        MethodSpec("sup-holm"),
-        MethodSpec("asup-bh"),
-        MethodSpec("dp-bh"),
-        MethodSpec("dp-bonf"),
-    )
+def _preset(m: int, m1: int, overrides: dict) -> SimScenario:
+    methods = tuple(map(MethodSpec, ("bh", "sup-bh", "sup-by", "sup-bonf", "sup-holm",
+                                     "asup-bh", "dp-bh", "dp-bonf")))
+    base = dict(m=m, m1=m1, methods=methods, theta_signal=4.0, alpha=0.1, reps=200, seed=0)
+    return SimScenario(**{**base, **overrides})
 
 
 def desk_scenario(**overrides) -> SimScenario:
     """Moderate-scale default scenario (m = 5000, m1 = 50, 200 reps)."""
-    base = dict(m=5000, m1=50, methods=_default_methods(),
-                theta_signal=4.0, alpha=0.1, reps=200, seed=0)
-    base.update(overrides)
-    return SimScenario(**base)
+    return _preset(5000, 50, overrides)
 
 
 def full_scenario(**overrides) -> SimScenario:
     """Full-scale scenario (m = 20000, m1 = 100, 200 reps); slow."""
-    base = dict(m=20000, m1=100, methods=_default_methods(),
-                theta_signal=4.0, alpha=0.1, reps=200, seed=0)
-    base.update(overrides)
-    return SimScenario(**base)
+    return _preset(20000, 100, overrides)

@@ -421,6 +421,22 @@ def test_simulate_refuses_bad_option_values_before_the_study(
     assert f"method '{label}': " in err and key in err
 
 
+def test_simulate_refuses_options_the_method_does_not_read(tmp_path, capsys, monkeypatch):
+    # asup-* read m_tilde, not m_peel: the typo exits 2 instead of running
+    # the default
+    def no_study(scenario):
+        raise AssertionError("the study ran with an option its method does not read")
+    monkeypatch.setattr(cli, "run_replications", no_study)
+    scen = tmp_path / "scen.cfg"
+    scen.write_text("m=200\nm1=10\nreps=2\nmethods=bh,asup-bh,lap\nasup-bh.m_peel = 7\n"
+                    "lap.method=dp-bonf\nlap.m_peel=20\nbh.tau=0.3\n")
+    assert main(["simulate", "--scenario", str(scen)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid scenario:\n"
+        "  method 'asup-bh': option 'm_peel' is not read by asup-bh\n"
+        "  method 'lap': option 'm_peel' is not read by dp-bonf\n")
+
+
 def test_simulate_refuses_non_finite_theta_signal(tmp_path, capsys, monkeypatch):
     def no_study(scenario):
         raise AssertionError("the study ran with theta_signal = nan")
@@ -751,6 +767,20 @@ def test_simulate_every_option_bytes_frozen(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert _sha(out) == _FROZEN_ALL_OPTIONS
+
+
+# SHA-256 of `suptest simulate --preset desk --reps 8 --seed 1002856304`, the
+# packaged preset at a simulate-desk benchmark round seed where the 8-replicate
+# FDR means of bh, sup-bh and asup-bh lie above alpha; a change that moves
+# these bytes also changes which benchmark rounds meet its FDR check.
+_FROZEN_DESK = "7a75e846ba99ab228c352ee628f9ca9249b2932c9c66419dbbf5e38265fe5e3d"
+
+
+def test_simulate_desk_preset_bytes_frozen(capsys):
+    assert main(["simulate", "--preset", "desk", "--reps", "8", "--seed", "1002856304"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha(out) == _FROZEN_DESK
 
 
 def test_run_and_simulate_close_their_input_files(pfile, tmp_path, capsys):

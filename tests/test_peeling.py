@@ -14,7 +14,7 @@ from sorted_peel_oracle import sorted_peel_rounds
 from suptest import peeling
 from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
 from suptest.baselines import DworkParams, dp_test
-from suptest.numerics import RandomStream, std_normal_cdf
+from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.peeling import PeelOutcome, forward_peel_baseline, reversed_peel
 from suptest.privacy import NoiseScales, PrivacyBudget
 from suptest.thresholds import TestConfig, sup_test
@@ -140,7 +140,7 @@ def test_reversed_peel_ties_near_one_equal_dense_oracle(noise_kind, m, scale, se
     stream = RandomStream(seed)
     out = _assert_equals_dense_oracle(np.ones(m), m, NoiseScales(scale, scale), stream,
                                       noise_kind)
-    q = peeling.std_normal_quantile(peeling.clamp_pvalues(1.0))
+    q = std_normal_quantile(peeling.clamp_pvalues(1.0))
     gen = stream.child(1).generator()
     alive, order = list(range(m)), []
     while alive:

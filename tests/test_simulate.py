@@ -124,6 +124,51 @@ def test_run_method_reads_only_the_configs_of_its_spec():
         assert spec.adaptive.tau == 0.3
 
 
+# one valid value off its default for every option
+_OFF_DEFAULT = {
+    "mu": 0.8, "eps": 0.9, "delta": 1e-4, "sigma0": 0.5, "sigma1": 0.1,
+    "zeta": 0, "gs": 0.05, "m_peel": 30, "noise": "laplace",
+    "tau": 0.3, "c": 5.0, "m_tilde": 250, "c0": 0.4, "rho": 0.2,
+    "eta": 0.05, "nu": 0.5, "laplace_scale": 0.5,
+}
+
+
+def _release_bytes(release):
+    peel = release.peeled
+    return (peel.peeled_indices.tobytes(), peel.inference_pvals.tobytes(),
+            release.rejected_indices.tobytes(), release.j_star, release.m_peel,
+            release.budget, release.scales, release.adaptive_info)
+
+
+def test_every_method_ignores_the_options_its_row_does_not_read():
+    # 30 signals, then 60 values that BH's step-up rejects and its step-down
+    # does not, so zeta = 0 moves sup-bh; every option below moves the
+    # release of some method whose row reads it
+    g = np.random.default_rng(3)
+    p = g.uniform(0.2, 1.0, size=300)
+    p[:30] = g.uniform(size=30) * 1e-5
+    p[30:90] = g.uniform(0.012, 0.018, size=60)
+
+    def release(spec):
+        return _release_bytes(run_method(spec, p, 0.1, RandomStream(8)))
+
+    assert set(_OFF_DEFAULT) == set(simulate.OPTION_TYPES)
+    base = {name: release(MethodSpec(name)) for name in METHOD_NAMES}
+    for key, value in _OFF_DEFAULT.items():
+        moved = []
+        for name in METHOD_NAMES:
+            try:
+                spec = MethodSpec(name, options={key: value})
+            except ValueError:  # a combination MethodSpec refuses
+                continue
+            got = release(spec)
+            if key not in simulate.METHODS[name]["reads"]:
+                assert got == base[name], f"{name} reads {key}"
+            elif got != base[name]:
+                moved.append(name)
+        assert moved, f"{key} = {value!r} moves no method that reads it"
+
+
 def test_gen_pvalues_null_uniform():
     scn = _scn(m=100_000, m1=0)
     data = gen_pvalues(scn, RandomStream(1))

@@ -35,7 +35,8 @@ def pi0_bar(pvals, tau: float) -> float:
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0,1)")
     p = checked_pvalues(pvals)
-    return _excess_sum(p, tau) / (p.size * (1.0 - tau) * e_tau(tau))
+    q_tau = std_normal_quantile(tau)
+    return _excess_sum(p, tau, q_tau) / (p.size * (1.0 - tau) * e_tau(tau))
 
 
 def gs_pi0(gs: float, tau: float) -> float:
