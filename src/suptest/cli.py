@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import re
 import sys
 from typing import Optional, get_type_hints
 
@@ -182,6 +183,14 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        # the error's offset is per chunk: find the bad byte, escaped to U+DCxx, in the whole text
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            text = fh.read()
+        at = re.search("[\udc80-\udcff]", text).start()
+        line = len((text[:at] + "?").splitlines())  # "?": the bad byte ends no line
+        raise UsageError(f"cannot read {path}: line {line}: "
+                         f"byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8")
 
 
 def _open_output(path: str):

@@ -21,11 +21,10 @@ from .adaptive import AdaptiveConfig, adaptive_sup_test
 from .baselines import DworkParams, classic_procedure, dp_test
 from .numerics import RandomStream, std_normal_cdf, usable_cores
 from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
-from .thresholds import FAMILIES, Release, TestConfig, resolve_scales, sup_test
+from .thresholds import FAMILIES, Release, TestConfig, sup_test
 
 __all__ = [
     "METHODS",
-    "CLASSIC_METHODS",
     "METHOD_NAMES",
     "METRIC_NAMES",
     "OPTION_TYPES",
@@ -65,27 +64,21 @@ _EPS_DELTA_ONLY = {key: ((), f"option {key!r} does not apply to the dp-* baselin
                              "an (eps, delta) budget") for key in ("mu", "sigma0", "sigma1")}
 
 # One row per method: run(spec, pvals, alpha, stream), which returns its
-# Release; the options it reads (tau for all: the v_tau_frac cut); the spec
-# config whose m_peel is its depth (None: it peels m or clamps to m); whether
+# Release; the options it reads (tau for all: the v_tau_frac cut; m_peel
+# where it peels that many values, else it peels m or clamps to m); whether
 # it releases the raw p-values; limits, option -> (values accepted, refusal).
 METHODS = {
-    **{fam: {"run": _classic, "reads": {"tau"}, "depth": None, "raw": True, "limits": {}}
-       for fam in FAMILIES},
-    **{"sup-" + fam: {"run": _sup, "reads": _PEEL_READS | {"m_peel"}, "depth": "config",
-                      "raw": False, "limits": {}} for fam in FAMILIES},
+    **{fam: {"run": _classic, "reads": {"tau"}, "raw": True, "limits": {}} for fam in FAMILIES},
+    **{"sup-" + fam: {"run": _sup, "reads": _PEEL_READS | {"m_peel"}, "raw": False,
+                      "limits": {}} for fam in FAMILIES},
     **{"asup-" + fam: {"run": _asup, "reads": _PEEL_READS | {"c", "m_tilde", "c0", "rho"},
-                       "depth": None, "raw": False, "limits": _GAUSSIAN_ONLY}
-       for fam in ("bh", "bonf")},
-    "dp-bh": {"run": _dp, "reads": _DP_READS | {"m_peel"}, "depth": "dwork", "raw": False,
+                       "raw": False, "limits": _GAUSSIAN_ONLY} for fam in ("bh", "bonf")},
+    "dp-bh": {"run": _dp, "reads": _DP_READS | {"m_peel"}, "raw": False,
               "limits": _EPS_DELTA_ONLY},
-    "dp-bonf": {"run": _dp, "reads": _DP_READS, "depth": None, "raw": False,
-                "limits": _EPS_DELTA_ONLY},
+    "dp-bonf": {"run": _dp, "reads": _DP_READS, "raw": False, "limits": _EPS_DELTA_ONLY},
 }
 
 METHOD_NAMES = tuple(METHODS)
-
-# the classic procedures, which release the raw p-values
-CLASSIC_METHODS = tuple(name for name, row in METHODS.items() if row["raw"])
 
 METRIC_NAMES = ("fdr", "fwer", "power", "n_reject", "v_tau_frac")
 
@@ -149,6 +142,9 @@ class MethodSpec:
             object.__setattr__(self, "label", self.name)
         options = {key: option_value(key, val) for key, val in self.options.items()}
         object.__setattr__(self, "options", options)
+        for key, (accepted, why) in METHODS[self.name]["limits"].items():
+            if key in options and options[key] not in accepted:
+                raise ValueError(why)
         budget = (PrivacyBudget.gdp(options["mu"]) if "mu" in options
                   else _configured(PrivacyBudget, options, **vars(EXPERIMENT_BUDGET)))
         given = {"family": self.name.rpartition("-")[2], "budget": budget,
@@ -156,12 +152,7 @@ class MethodSpec:
         if "sigma0" in options or "sigma1" in options:
             s0 = options.get("sigma0", 0.0)
             given["sigma_override"] = (s0, options.get("sigma1", 2.0 * s0))
-        config = _configured(TestConfig, options, **given)
-        for key, (accepted, why) in METHODS[self.name]["limits"].items():
-            if key in options and options[key] not in accepted:
-                raise ValueError(why)
-        resolve_scales(config, config.m_peel)  # refuses laplace noise with a mu budget
-        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "config", _configured(TestConfig, options, **given))
         object.__setattr__(self, "adaptive", _configured(AdaptiveConfig, options))
         object.__setattr__(self, "dwork", _configured(DworkParams, options))
 
@@ -207,10 +198,10 @@ class SimScenario:
         labels = [s.label for s in self.methods]
         if len(set(labels)) != len(labels):
             raise ValueError("method labels must be unique")
+        # dwork.m_peel, dp-bh's depth, is config.m_peel: both come from one option
         for spec in self.methods:
-            rule = METHODS[spec.name]["depth"]
-            depth = getattr(spec, rule).m_peel if rule else 0
-            if depth > self.m:
+            depth = spec.config.m_peel
+            if "m_peel" in METHODS[spec.name]["reads"] and depth > self.m:
                 raise ValueError(f"method {spec.label!r}: m_peel ({depth}) cannot exceed "
                                  f"m ({self.m})")
 

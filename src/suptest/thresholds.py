@@ -77,7 +77,8 @@ class TestConfig:
 
     sigma_override replaces the calibrated (sigma0, sigma1) pair, which is
     only meant for analysis and reduction checks; it also silences the
-    estimator noise in adaptive runs.
+    estimator noise in adaptive runs. Without it, laplace noise needs an
+    (eps, delta) budget.
     """
 
     family: str
@@ -107,6 +108,8 @@ class TestConfig:
             s0, s1 = self.sigma_override
             if not (0.0 <= s0 < math.inf and 0.0 <= s1 < math.inf):
                 raise ValueError("sigma0 and sigma1 must be finite and nonnegative")
+        elif self.noise_kind == "laplace" and self.budget.kind != "approx_dp":
+            raise ValueError("laplace noise requires an (eps, delta) budget")
 
     def resolved_zeta(self) -> int:
         return DEFAULT_ZETA[self.family] if self.zeta is None else self.zeta
@@ -226,11 +229,7 @@ def resolve_scales(config: TestConfig, m_peel: int) -> NoiseScales:
         return NoiseScales(float(s0), float(s1))
     if config.noise_kind == "gaussian":
         return calibrate_peeling_scales(budget_as_mu(config.budget), config.gs, m_peel)
-    if config.budget.kind != "approx_dp":
-        raise ValueError("laplace noise requires an (eps, delta) budget")
-    return calibrate_laplace_scales(
-        config.budget.eps, config.budget.delta, config.gs, m_peel
-    )
+    return calibrate_laplace_scales(config.budget.eps, config.budget.delta, config.gs, m_peel)
 
 
 def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -> Release:

@@ -80,6 +80,26 @@ def test_run_reads_byte_order_mark(tmp_path, capsys, text, ids):
     assert out[1:-1] == [f"{ids[0]},0.001,0.001,1", f"{ids[1]},0.5,0.5,0"]
 
 
+_LONG_PREFIX = b"".join(b"h%d,0.5\n" % i for i in range(1200))  # past the first 8 KiB
+
+
+@pytest.mark.parametrize("data, where", [
+    (b"id,p\nh1,0.5\nna\xefve,0.01\n", "line 3: byte 0xef"),
+    (b"\xef\xbb\xbfid,p\r\nh1,0.5\r\n\r\nh2,0.01\xff\r\n", "line 4: byte 0xff"),
+    (b"id,p\n" + _LONG_PREFIX + b"h\xe9,0.01\n", "line 1202: byte 0xe9"),
+], ids=["line-3", "bom-crlf", "past-8KiB"])
+def test_run_and_simulate_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, data,
+                                                                     where):
+    # the line as the parsers count it, not the decoder's offset in its chunk
+    assert len(_LONG_PREFIX) > 8192
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    for argv in (["run", "--input", str(path), "--method", "bh"],
+                 ["simulate", "--scenario", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot read {path}: {where} is not UTF-8\n"
+
+
 def test_run_sup_round_trip(pfile, capsys):
     path, p = pfile
     assert main(["run", "--input", str(path), "--method", "sup-bh",

@@ -113,6 +113,32 @@ def test_refused_option_combinations():
             MethodSpec(name, options={"noise": "laplace"})
 
 
+def test_method_limits_are_checked_before_the_laplace_budget_rule():
+    # each input has two faults; the method's own refusal names the first
+    with pytest.raises(ValueError, match="^adaptive test supports gaussian noise only$"):
+        MethodSpec("asup-bh", options={"noise": "laplace", "mu": 1})
+    with pytest.raises(ValueError, match=r"^option 'mu' does not apply to the dp-\* baselines, "
+                                         r"which take an \(eps, delta\) budget$"):
+        MethodSpec("dp-bh", options={"noise": "laplace", "mu": 1})
+
+
+def test_scenario_refuses_a_depth_above_m_exactly_for_the_methods_that_peel_m_peel():
+    # a row whose reads name m_peel gets the depth check; it must also be a
+    # method whose release peels m_peel values, and no other method may
+    p = np.random.default_rng(6).uniform(size=60)
+    for name in METHOD_NAMES:
+        spec = MethodSpec(name, options={"m_peel": 17})
+        peels = run_method(spec, p, 0.1, RandomStream(2)).m_peel == 17
+        try:
+            SimScenario(m=16, m1=0, methods=(spec,))
+        except ValueError as e:
+            assert str(e) == f"method {name!r}: m_peel (17) cannot exceed m (16)"
+            refused = True
+        else:
+            refused = False
+        assert refused == peels, name
+
+
 def test_run_method_reads_only_the_configs_of_its_spec():
     p = np.random.default_rng(5).uniform(size=200)
     for name in METHOD_NAMES:

@@ -263,12 +263,21 @@ def test_resolve_scales_routes():
                      noise_kind="laplace")
     sl = resolve_scales(lap, 200)
     assert sl.sigma0 > 0 and sl.sigma1 == 2 * sl.sigma0
-    bad = TestConfig(family="bh", budget=PrivacyBudget.gdp(0.5), noise_kind="laplace")
     with pytest.raises(ValueError):
+        bad = TestConfig(family="bh", budget=PrivacyBudget.gdp(0.5), noise_kind="laplace")
         resolve_scales(bad, 200)
     forced = TestConfig(family="bh", sigma_override=(0.3, 0.9))
     so = resolve_scales(forced, 200)
     assert (so.sigma0, so.sigma1) == (0.3, 0.9)
+
+
+def test_laplace_noise_needs_an_eps_delta_budget_when_the_config_is_built():
+    with pytest.raises(ValueError, match=r"^laplace noise requires an \(eps, delta\) budget$"):
+        TestConfig(family="bh", budget=PrivacyBudget.gdp(0.5), noise_kind="laplace")
+    # scales that no budget calibrated need no budget
+    forced = TestConfig(family="bh", budget=PrivacyBudget.gdp(0.5), noise_kind="laplace",
+                        sigma_override=(0.3, 0.9))
+    assert resolve_scales(forced, 200) == NoiseScales(0.3, 0.9)
 
 
 def test_sup_test_rejects_bad_m_peel():
