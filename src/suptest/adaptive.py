@@ -81,11 +81,7 @@ def e_tau(tau: float) -> float:
     Q the standard normal quantile (truncated-normal mean)."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0,1)")
-    return _e_tau(tau, std_normal_quantile(tau))
-
-
-def _e_tau(tau: float, q_tau: float) -> float:
-    # q_tau = Q(tau), which a release computes once for this and _excess_sum
+    q_tau = std_normal_quantile(tau)
     return float(std_normal_pdf(q_tau) / (1.0 - tau) - q_tau)
 
 
@@ -103,14 +99,11 @@ def pi0_inv_bar(pvals, tau: float, c0: float) -> float:
     always in (0, 1/c0]."""
     if not 0.0 < c0 < 1.0:
         raise ValueError("c0 must lie in (0,1)")
-    return _pi0_inv_bar(checked_pvalues(pvals), tau, c0, e_tau(tau), std_normal_quantile(tau))
-
-
-def _pi0_inv_bar(p: np.ndarray, tau: float, c0: float, e: float, q_tau: float) -> float:
-    # e = e_tau(tau), which a release computes once for this and gs_pi0_inv
+    p = checked_pvalues(pvals)
+    e = e_tau(tau)
     denom_floor = c0 * p.size * (1.0 - tau) * e
     num = p.size * (1.0 - tau) * e
-    return num / max(_excess_sum(p, tau, q_tau), denom_floor)
+    return num / max(_excess_sum(p, tau, std_normal_quantile(tau)), denom_floor)
 
 
 def gs_pi0_inv(gs: float, tau: float, c0: float) -> float:
@@ -123,11 +116,7 @@ def gs_pi0_inv(gs: float, tau: float, c0: float) -> float:
         raise ValueError("tau must lie in (0,1)")
     if gs == 0.0:
         return 0.0
-    return _gs_pi0_inv(gs, tau, c0, e_tau(tau))
-
-
-def _gs_pi0_inv(gs: float, tau: float, c0: float, e: float) -> float:
-    return 1.0 / c0 - 1.0 / (c0 + gs / ((1.0 - tau) * e))
+    return 1.0 / c0 - 1.0 / (c0 + gs / ((1.0 - tau) * e_tau(tau)))
 
 
 def peel_count_m_dagger(pi0_val: float, m: int, cfg: AdaptiveConfig,
@@ -180,12 +169,9 @@ def adaptive_sup_test(
 
     gen = stream.child(0).generator()
     z = float(gen.standard_normal())
-    # config and acfg checked gs > 0, tau and c0 when they were built
-    q_tau = std_normal_quantile(acfg.tau)
-    e = _e_tau(acfg.tau, q_tau)
     sigma_tau = (0.0 if config.sigma_override is not None
-                 else _gs_pi0_inv(config.gs, acfg.tau, acfg.c0, e) / mu_est)
-    inv_bar = _pi0_inv_bar(p, acfg.tau, acfg.c0, e, q_tau)
+                 else gs_pi0_inv(config.gs, acfg.tau, acfg.c0) / mu_est)
+    inv_bar = pi0_inv_bar(p, acfg.tau, acfg.c0)
     p0_hat = pi0_hat(inv_bar, sigma_tau, z, acfg.c0)
 
     m_star = peel_count_m_dagger(p0_hat, p.size, acfg, config.alpha)

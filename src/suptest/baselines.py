@@ -8,9 +8,10 @@ its Release holds them all.
 dp_test, the log-scale comparator of Dwork, Su & Zhang (J. Privacy &
 Confidentiality 2021), floors the p-values at nu, forward-peels n noisy
 logs (n = m' for bh, m for bonf) by report-noisy-min with Laplace noise,
-sampled by peeling's lazy rounds, and steps up against log thresholds
-deflated by a privacy penalty; it releases decisions only, so its Release
-holds no values. Its Laplace scale drops the penalty's last log:
+sampled by peeling's lazy rounds, and steps up by the same step rule
+against log thresholds deflated by a privacy penalty; it releases
+decisions only, so its Release holds no values. Its Laplace scale drops
+the penalty's last log:
 
     bh    log(alpha j / m) - eta sqrt(10 m' ln(1/delta) ln(6 m'/alpha)) / eps
     bonf  log(alpha / m)   - eta sqrt(10 m  ln(1/delta) ln(5 m /alpha)) / (2 eps)
@@ -27,7 +28,8 @@ import numpy as np
 from .numerics import RandomStream
 from .peeling import PeelOutcome, forward_peel_baseline
 from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
-from .thresholds import DEFAULT_ZETA, Release, TestConfig, ThresholdFamily, reject_peeled
+from .thresholds import (DEFAULT_ZETA, Release, TestConfig, ThresholdFamily, _stepped,
+                         reject_peeled)
 from .transform import checked_pvalues
 
 __all__ = [
@@ -139,15 +141,12 @@ def dp_test(
     if penalty is None:
         penalty = dp_penalty(params, alpha, m, variant)
     picked, values = forward_peel_baseline(logs, n, scale, stream)
-    order = np.argsort(values, kind="stable")
-    # against bonf's constant threshold the step-up rejects exactly the values
-    # at or below it; math.log keeps its bits, which numpy's SIMD log may not
+    # bonf's constant threshold is one float from math.log, which keeps its
+    # bits where numpy's SIMD log may not
     if variant == "bh":
         thr = np.log(alpha * np.arange(1, n + 1) / m) - penalty
     else:
         thr = math.log(alpha / m) - penalty
-    hits = np.flatnonzero(values[order] <= thr)
-    k = hits[-1] + 1 if hits.size else 0
-    rejected = np.sort(picked[order[:k]])
+    j_star, rejected = _stepped(values, thr, picked, 1)
     nothing = PeelOutcome(np.empty(0, dtype=np.intp), np.empty(0))
-    return Release(nothing, rejected.size, rejected, n, budget)
+    return Release(nothing, j_star, rejected, n, budget)

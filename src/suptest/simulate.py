@@ -125,12 +125,12 @@ def _configured(cls, options: dict, **given):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method to run in a scenario: registry name, display label, options
-    (see OPTION_TYPES) and the configs they fill, built and checked here."""
+    """A method to run in a scenario: registry name, keyword-only label and
+    options (see OPTION_TYPES), and the configs they fill, built and checked here."""
 
     name: str
-    label: Optional[str] = None
-    options: dict = field(default_factory=dict)
+    label: Optional[str] = field(default=None, kw_only=True)
+    options: dict = field(default_factory=dict, kw_only=True)
     config: TestConfig = field(init=False, repr=False, compare=False)
     adaptive: AdaptiveConfig = field(init=False, repr=False, compare=False)
     dwork: DworkParams = field(init=False, repr=False, compare=False)

@@ -172,6 +172,27 @@ def threshold_values(family: ThresholdFamily, j) -> np.ndarray:
     return lam * family.pi0_inv_scale
 
 
+def _step(values: np.ndarray, thresholds, zeta: int) -> int:
+    # the step rule on values sorted nondecreasing against their thresholds
+    # (an array of the same length, or one float for a constant threshold)
+    ok = values <= thresholds
+    if zeta == 1:
+        hits = np.flatnonzero(ok)
+        return int(hits[-1] + 1) if hits.size else 0
+    if zeta == 0:
+        violations = np.flatnonzero(~ok)
+        return int(violations[0]) if violations.size else int(values.size)
+    raise ValueError("zeta must be 0 or 1")
+
+
+def _stepped(values: np.ndarray, thresholds, indices: np.ndarray, zeta: int) -> tuple:
+    # (j_star, sorted rejected indices): sort values stably, step, reject
+    # the indices of the first j_star sorted values
+    order = np.argsort(values, kind="stable")
+    j_star = _step(values[order], thresholds, zeta)
+    return j_star, np.sort(indices[order[:j_star]])
+
+
 def select_step(sorted_pvals, family: ThresholdFamily, zeta: int) -> int:
     """Pick j_star from sorted values against the family thresholds.
 
@@ -183,17 +204,7 @@ def select_step(sorted_pvals, family: ThresholdFamily, zeta: int) -> int:
     s = np.asarray(sorted_pvals, dtype=float)
     if s.size > 1 and np.any(np.diff(s) < 0.0):
         raise ValueError("input must be sorted nondecreasing")
-    if zeta not in (0, 1):
-        raise ValueError("zeta must be 0 or 1")
-    if s.size == 0:
-        return 0
-    lam = threshold_values(family, np.arange(1, s.size + 1))
-    ok = s <= lam
-    if zeta == 1:
-        hits = np.flatnonzero(ok)
-        return int(hits[-1] + 1) if hits.size else 0
-    violations = np.flatnonzero(~ok)
-    return int(violations[0]) if violations.size else int(s.size)
+    return _step(s, threshold_values(family, np.arange(1, s.size + 1)), zeta)
 
 
 def reject_peeled(peel: peeling.PeelOutcome, family: ThresholdFamily, zeta: int,
@@ -201,11 +212,10 @@ def reject_peeled(peel: peeling.PeelOutcome, family: ThresholdFamily, zeta: int,
                   adaptive_info: Optional[AdaptiveInfo] = None,
                   scales: Optional[NoiseScales] = None) -> Release:
     """Sort the peeled inference values, select, reject."""
-    order = np.argsort(peel.inference_pvals, kind="stable")
-    j_star = select_step(peel.inference_pvals[order], family, zeta)
-    rejected = np.sort(peel.peeled_indices[order[:j_star]])
-    return Release(peel, j_star, rejected, peel.peeled_indices.size, budget, adaptive_info,
-                   scales)
+    n = peel.peeled_indices.size
+    thresholds = threshold_values(family, np.arange(1, n + 1))
+    j_star, rejected = _stepped(peel.inference_pvals, thresholds, peel.peeled_indices, zeta)
+    return Release(peel, j_star, rejected, n, budget, adaptive_info, scales)
 
 
 def budget_as_mu(budget: PrivacyBudget) -> float:

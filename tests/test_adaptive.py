@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from suptest.adaptive import (
 )
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.privacy import PrivacyBudget
-from suptest.thresholds import TestConfig
+from suptest.thresholds import TestConfig, budget_as_mu
 from theory_oracle import gs_pi0, pi0_bar
 
 
@@ -261,3 +262,22 @@ def test_adaptive_release_invariants(instance):
     assert np.all(np.diff(rejected) > 0)
     assert np.isin(rejected, peeled).all()
     assert release.j_star == rejected.size
+
+
+@settings(max_examples=100, deadline=None)
+@given(_adaptive_instances(), st.floats(0.05, 0.95),
+       st.sampled_from([PrivacyBudget.gdp(0.5), PrivacyBudget.approx_dp(0.5, 1e-3)]))
+def test_adaptive_info_has_the_bits_of_the_public_estimators(instance, tau, budget):
+    # the release's inverse estimate and estimator noise scale are the public
+    # estimators' values, bit for bit, with the estimation share mu sqrt(rho)
+    p, cfg, acfg, stream = instance
+    cfg, acfg = replace(cfg, budget=budget), replace(acfg, tau=tau)
+    info = adaptive_sup_test(p, cfg, acfg, stream).adaptive_info
+    assert info.pi0_inv_bar.hex() == pi0_inv_bar(p, tau, acfg.c0).hex()
+    mu_est = budget_as_mu(budget) * math.sqrt(acfg.rho)
+    assert info.sigma_tau.hex() == (gs_pi0_inv(cfg.gs, tau, acfg.c0) / mu_est).hex()
+    # sigma_override silences the estimator noise and leaves the estimate
+    silent = replace(cfg, sigma_override=(0.01, 0.02))
+    info = adaptive_sup_test(p, silent, acfg, stream).adaptive_info
+    assert info.sigma_tau.hex() == (0.0).hex()
+    assert info.pi0_inv_bar.hex() == pi0_inv_bar(p, tau, acfg.c0).hex()

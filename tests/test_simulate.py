@@ -82,6 +82,20 @@ def test_scenario_validation():
                   MethodSpec("dp-bonf", options={"m_peel": 401})))
 
 
+def test_method_spec_takes_label_and_options_by_keyword_only():
+    # options given by position would become the label, and the method would
+    # run on its defaults
+    with pytest.raises(TypeError):
+        MethodSpec("asup-bh", {"noise": "laplace", "mu": 1})
+    with pytest.raises(TypeError):
+        MethodSpec("sup-bh", "sup-bh-20", {"m_peel": 20})
+    assert MethodSpec("sup-bh").label == "sup-bh"
+    spec = MethodSpec("sup-bh", label="sup-bh-20", options={"m_peel": 20})
+    assert (spec.label, spec.config.m_peel) == ("sup-bh-20", 20)
+    spec = MethodSpec(name="asup-bh", options={"m_tilde": 7})
+    assert (spec.label, spec.adaptive.m_tilde) == ("asup-bh", 7)
+
+
 # one out-of-range value for every option of the table
 _BAD_OPTIONS = {
     "mu": -1.0, "eps": -3.0, "delta": 2.0, "sigma0": -1.0, "sigma1": -1.0,

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from classic_oracle import classic_procedure as classic_oracle
 from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
 from suptest.numerics import RandomStream
-from suptest.peeling import reversed_peel
+from suptest.peeling import PeelOutcome, reversed_peel
 from suptest.privacy import NoiseScales, PrivacyBudget
 from suptest.simulate import METHOD_NAMES, MethodSpec, run_method
 from suptest.thresholds import (
     FAMILIES,
     TestConfig,
     ThresholdFamily,
+    reject_peeled,
     resolve_scales,
     select_step,
     sup_test,
@@ -100,6 +101,32 @@ def test_step_up_vs_step_down_on_same_family():
     s = np.array([0.3, 0.35, 0.5, 0.7])
     assert select_step(s, fam, 1) == 4
     assert select_step(s, fam, 0) == 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5, 4.0])
+@pytest.mark.parametrize("zeta", [0, 1])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reject_peeled_steps_like_select_step_on_the_sorted_values(family, zeta, scale):
+    # values near their thresholds, with ties, given in shuffled peel order
+    g = np.random.default_rng(31)
+    picks = set()
+    for _ in range(60):
+        m = int(g.integers(1, 40))
+        n = int(g.integers(1, m + 1))
+        fam = ThresholdFamily(family, 0.2, m, scale)
+        lam = threshold_values(fam, np.arange(1, n + 1))
+        values = np.round(lam * g.uniform(0.0, 2.0, n), 3)
+        indices = g.permutation(m)[:n]
+        release = reject_peeled(PeelOutcome(indices, values), fam, zeta)
+        assert release.j_star == select_step(np.sort(values), fam, zeta)
+        rejected = release.rejected_indices
+        assert rejected.size == release.j_star and np.all(np.diff(rejected) > 0)
+        if rejected.size:
+            kth = np.sort(values)[rejected.size - 1]
+            assert np.all(values[np.isin(indices, rejected)] <= kth)
+        picks.add((release.j_star == 0, release.j_star == n))
+    # some releases reject nothing, some all and some a part
+    assert picks == {(True, False), (False, True), (False, False)}
 
 
 # sorted p-values with exact 0s and 1s and repeats, a family over m >= their
