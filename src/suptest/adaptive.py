@@ -12,24 +12,14 @@ peeling number m* and all thresholds scaled by 1/pi0_hat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .numerics import RandomStream, std_normal_pdf, std_normal_quantile
-from .peeling import reversed_peel
-from .privacy import PrivacyBudget, split_budget
-from .thresholds import (
-    AdaptiveInfo,
-    Release,
-    TestConfig,
-    ThresholdFamily,
-    budget_as_mu,
-    reject_peeled,
-    released_budget,
-    resolve_scales,
-)
+from .privacy import split_budget
+from .thresholds import AdaptiveInfo, Release, TestConfig, _sup_release, budget_as_mu
 from .transform import checked_pvalues
 
 __all__ = [
@@ -176,11 +166,6 @@ def adaptive_sup_test(
 
     m_star = peel_count_m_dagger(p0_hat, p.size, acfg, config.alpha)
 
-    scales = resolve_scales(replace(config, budget=PrivacyBudget.gdp(mu_peel)), m_star)
-    peel = reversed_peel(p, m_star, scales, stream.child(1), "gaussian")
-    family = ThresholdFamily(config.family, config.alpha, p.size,
-                             pi0_inv_scale=1.0 / p0_hat)
     info = AdaptiveInfo(pi0_hat=p0_hat, m_star=m_star,
                         pi0_inv_bar=inv_bar, sigma_tau=sigma_tau)
-    return reject_peeled(peel, family, config.resolved_zeta(), released_budget(config), info,
-                         scales)
+    return _sup_release(p, config, m_star, stream.child(1), mu_peel, info, 1.0 / p0_hat)

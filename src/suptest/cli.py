@@ -21,7 +21,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .numerics import RandomStream
-from .privacy import PrivacyBudget, calibrate_peeling_scales, gdp_to_approx_dp_delta
+from .privacy import PrivacyBudget, gdp_to_approx_dp_delta
 from .simulate import (
     METHODS,
     OPTION_TYPES,
@@ -33,7 +33,7 @@ from .simulate import (
     run_method,
     run_replications,
 )
-from .thresholds import TestConfig, budget_as_mu
+from .thresholds import TestConfig, budget_as_mu, resolve_scales
 
 __all__ = ["main", "UsageError"]
 
@@ -316,7 +316,8 @@ def cmd_privacy(args) -> int:
             budget = PrivacyBudget.approx_dp(args.eps, args.delta)
         else:
             raise UsageError("calibrate needs --mu, or --eps with --delta")
-        scales = calibrate_peeling_scales(budget_as_mu(budget), args.gs, args.m_peel)
+        config = TestConfig("bh", budget=budget, gs=args.gs, m_peel=args.m_peel)
+        scales = resolve_scales(config, args.m_peel)
         print(f"sigma0={scales.sigma0:.10g}")
         print(f"sigma1={scales.sigma1:.10g}")
     return 0

@@ -42,7 +42,6 @@ __all__ = [
     "select_step",
     "reject_peeled",
     "sup_test",
-    "released_budget",
     "resolve_scales",
     "budget_as_mu",
 ]
@@ -226,20 +225,31 @@ def budget_as_mu(budget: PrivacyBudget) -> float:
     return experiment_mu(budget.eps, budget.delta)
 
 
-def released_budget(config: TestConfig) -> Optional[PrivacyBudget]:
-    """The budget a release under config spent: config.budget, or None
-    where sigma_override set the scales, since no budget calibrated them."""
-    return config.budget if config.sigma_override is None else None
-
-
-def resolve_scales(config: TestConfig, m_peel: int) -> NoiseScales:
-    """Noise scales implied by the config for a given peeling count."""
+def resolve_scales(config: TestConfig, m_peel: int, mu: Optional[float] = None) -> NoiseScales:
+    """Noise scales implied by the config for a given peeling count; mu, if
+    given, is the GDP parameter the Gaussian scales spend in place of
+    config.budget's."""
     if config.sigma_override is not None:
         s0, s1 = config.sigma_override
         return NoiseScales(float(s0), float(s1))
     if config.noise_kind == "gaussian":
-        return calibrate_peeling_scales(budget_as_mu(config.budget), config.gs, m_peel)
+        return calibrate_peeling_scales(budget_as_mu(config.budget) if mu is None else mu,
+                                        config.gs, m_peel)
     return calibrate_laplace_scales(config.budget.eps, config.budget.delta, config.gs, m_peel)
+
+
+def _sup_release(p: np.ndarray, config: TestConfig, m_peel: int, stream: RandomStream,
+                 mu: Optional[float] = None, adaptive_info: Optional[AdaptiveInfo] = None,
+                 pi0_inv_scale: float = 1.0) -> Release:
+    # the one release of the SUP tests: resolve the scales (see
+    # resolve_scales for mu), peel m_peel values, step against thresholds
+    # scaled by pi0_inv_scale, and claim config.budget, or no budget where
+    # sigma_override set the scales, since no budget calibrated them
+    scales = resolve_scales(config, m_peel, mu)
+    peel = peeling.reversed_peel(p, m_peel, scales, stream, config.noise_kind)
+    family = ThresholdFamily(config.family, config.alpha, p.size, pi0_inv_scale)
+    budget = config.budget if config.sigma_override is None else None
+    return reject_peeled(peel, family, config.resolved_zeta(), budget, adaptive_info, scales)
 
 
 def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -> Release:
@@ -252,14 +262,9 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
 
     Returns:
         Release with the peel outcome, j_star, the rejected hypothesis
-        indices (0-based positions into pvals), the budget spent (see
-        released_budget) and the noise scales.
+        indices (0-based positions into pvals), the budget spent (None
+        under sigma_override) and the noise scales.
     """
-    p = np.asarray(pvals, dtype=float)
-    scales = resolve_scales(config, config.m_peel)
     if stream is None:
         stream = RandomStream(config.seed)
-    peel = peeling.reversed_peel(p, config.m_peel, scales, stream, config.noise_kind)
-    family = ThresholdFamily(config.family, config.alpha, p.size)
-    return reject_peeled(peel, family, config.resolved_zeta(), released_budget(config),
-                         scales=scales)
+    return _sup_release(np.asarray(pvals, dtype=float), config, config.m_peel, stream)

@@ -41,14 +41,18 @@ _ENTRY_HI = 1.0 - 1e-16
 
 
 def checked_pvalues(pvals) -> np.ndarray:
-    """pvals as a nonempty float array, every value a number in [0, 1].
-    Every method checks its p-values here, directly or through clamp_pvalues.
+    """pvals as a nonempty float array of at most one dimension, every value
+    a number in [0, 1]. Every method checks its p-values here, directly or
+    through clamp_pvalues.
 
     Raises:
-        ValueError: if pvals is empty, or naming the first NaN, infinite or
+        ValueError: naming the shape of an array of two or more dimensions;
+            if pvals is empty; or naming the first NaN, infinite or
             out-of-range value.
     """
     p = np.asarray(pvals, dtype=float)
+    if p.ndim > 1:
+        raise ValueError(f"p-values must be a 1-D array, not shape {p.shape}")
     if p.size == 0:
         raise ValueError("p-value array is empty")
     # a NaN makes min and max NaN, which fails both comparisons

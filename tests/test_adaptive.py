@@ -17,7 +17,7 @@ from suptest.adaptive import (
 )
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.privacy import PrivacyBudget
-from suptest.thresholds import TestConfig, budget_as_mu
+from suptest.thresholds import TestConfig, budget_as_mu, sup_test
 from theory_oracle import gs_pi0, pi0_bar
 
 
@@ -281,3 +281,34 @@ def test_adaptive_info_has_the_bits_of_the_public_estimators(instance, tau, budg
     info = adaptive_sup_test(p, silent, acfg, stream).adaptive_info
     assert info.sigma_tau.hex() == (0.0).hex()
     assert info.pi0_inv_bar.hex() == pi0_inv_bar(p, tau, acfg.c0).hex()
+
+
+def _same_peel(a, b):
+    return (a.peeled.peeled_indices.tobytes() == b.peeled.peeled_indices.tobytes()
+            and a.peeled.inference_pvals.tobytes() == b.peeled.inference_pvals.tobytes()
+            and np.array([a.scales.sigma0, a.scales.sigma1]).tobytes()
+            == np.array([b.scales.sigma0, b.scales.sigma1]).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_adaptive_instances())
+def test_adaptive_release_is_sup_test_at_m_star_on_the_peeling_share(instance):
+    # the adaptive test releases what sup_test releases with m' = m*, the
+    # budget's peeling share mu sqrt(1 - rho) and the root stream's child 1
+    p, cfg, acfg, stream = instance
+    release = adaptive_sup_test(p, cfg, acfg, stream)
+    mu_peel = budget_as_mu(cfg.budget) * math.sqrt(1.0 - acfg.rho)
+    plain = sup_test(p, replace(cfg, m_peel=release.m_peel, budget=PrivacyBudget.gdp(mu_peel)),
+                     stream.child(1))
+    assert _same_peel(release, plain)
+    # with the scales set by hand and p-values that force pi0_hat = 1, the
+    # thresholds are unscaled, so the rejections agree as well
+    p = np.maximum(p, 0.9)
+    silent = replace(cfg, sigma_override=(0.01, 0.02))
+    release = adaptive_sup_test(p, silent, acfg, stream)
+    assert release.adaptive_info.pi0_hat == 1.0
+    plain = sup_test(p, replace(silent, m_peel=release.m_peel), stream.child(1))
+    assert _same_peel(release, plain)
+    assert release.j_star == plain.j_star
+    assert release.rejected_indices.tobytes() == plain.rejected_indices.tobytes()
+    assert release.budget is plain.budget is None

@@ -13,7 +13,7 @@ from suptest import cli, simulate
 from suptest.cli import main
 from suptest.privacy import PrivacyBudget, calibrate_peeling_scales, experiment_mu
 from suptest.simulate import METRIC_NAMES
-from suptest.thresholds import TestConfig, sup_test
+from suptest.thresholds import TestConfig, resolve_scales, sup_test
 
 
 def _write_pvals(path, pvals, header="id,p", ids=None):
@@ -611,6 +611,23 @@ def test_privacy_calibrate_mu_flag(capsys):
     out = capsys.readouterr().out.strip().split("\n")
     scales = calibrate_peeling_scales(1.0, 1e-4, 200)
     assert out[0] == f"sigma0={scales.sigma0:.10g}"
+
+
+@pytest.mark.parametrize("flags, budget", [
+    (["--mu", "0.7"], PrivacyBudget.gdp(0.7)),
+    (["--eps", "0.5", "--delta", "1e-3"], PrivacyBudget.approx_dp(0.5, 1e-3)),
+], ids=["mu", "eps-delta"])
+def test_privacy_calibrate_prints_the_resolved_scales(flags, budget, capsys):
+    # calibrate prints the scales a sup-* release with that budget, gs and
+    # m' is calibrated to
+    assert main(["privacy", "calibrate", *flags, "--gs", "2e-4", "--m-peel", "50"]) == 0
+    scales = resolve_scales(TestConfig("bh", budget=budget, gs=2e-4, m_peel=50), 50)
+    assert capsys.readouterr().out == f"sigma0={scales.sigma0:.10g}\nsigma1={scales.sigma1:.10g}\n"
+
+
+def test_privacy_calibrate_refuses_zero_gs(capsys):
+    assert main(["privacy", "calibrate", "--mu", "1", "--gs", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: gs must be finite and positive\n")
 
 
 @pytest.mark.parametrize("args", [

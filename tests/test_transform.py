@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from dense_oracle import generate_noisy_matrix
+from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
+from suptest.baselines import DworkParams, classic_procedure, dp_test
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.peeling import reversed_peel
 from suptest.privacy import NoiseScales
+from suptest.thresholds import TestConfig, sup_test
 from suptest.transform import (
     P_CLAMP,
     clamp_pvalues,
@@ -30,6 +35,24 @@ def test_clamp_pvalues():
     assert c[1] == 0.5
     assert c[2] == 1.0 - P_CLAMP
     assert c[3] == P_CLAMP
+
+
+_METHODS = {
+    "sup_test": lambda p: sup_test(p, TestConfig("bh", m_peel=5)),
+    "adaptive_sup_test": lambda p: adaptive_sup_test(p, TestConfig("bh"), AdaptiveConfig()),
+    "classic_procedure": lambda p: classic_procedure(p, "bh", 0.1),
+    "dp_test": lambda p: dp_test(p, DworkParams(m_peel=5), 0.1, RandomStream(1), "bh"),
+}
+
+
+@pytest.mark.parametrize("shape", [(50, 1), (1, 50)])
+@pytest.mark.parametrize("method", sorted(_METHODS))
+def test_every_method_refuses_pvalues_of_two_dimensions(method, shape):
+    # a column or a row of p-values is refused with a ValueError naming its
+    # shape, before any method indexes or broadcasts it
+    p = np.random.default_rng(3).random(50).reshape(shape)
+    with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+        _METHODS[method](p)
 
 
 def test_noisy_p_gaussian_values():
