@@ -22,16 +22,7 @@ from .privacy import split_budget
 from .thresholds import AdaptiveInfo, Release, TestConfig, _sup_release, budget_as_mu
 from .transform import checked_pvalues
 
-__all__ = [
-    "AdaptiveConfig",
-    "resolve_c",
-    "e_tau",
-    "pi0_inv_bar",
-    "gs_pi0_inv",
-    "peel_count_m_dagger",
-    "pi0_hat",
-    "adaptive_sup_test",
-]
+__all__ = ["AdaptiveConfig", "pi0_hat", "adaptive_sup_test"]
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import peeling
 from .numerics import RandomStream
-from .peeling import PeelOutcome, forward_peel_baseline
+from .peeling import PeelOutcome
 from .privacy import EXPERIMENT_BUDGET, PrivacyBudget
 from .thresholds import (DEFAULT_ZETA, Release, TestConfig, ThresholdFamily, _stepped,
                          reject_peeled)
@@ -120,16 +121,17 @@ def dp_test(
     alpha: float,
     stream: RandomStream,
     variant: str,
-    penalty: Optional[float] = None,
 ) -> Release:
     """Log-scale private comparator, variant "bh" or "bonf": forward-peel
     n noisy log p-values, then step up against the variant's log
-    thresholds minus the penalty.
+    thresholds minus the penalty. Each peel round is report-noisy-min with
+    fresh Laplace noise on the surviving logs (peeling._peel_rounds) and
+    keeps the winner's noisy log; at scale 0 the order is the stable sort
+    order of the logs.
 
     Returns a Release of decisions only: no released values, m_peel = n
     and the budget (params.eps, params.delta), or None where
-    params.laplace_scale set the scale, which no budget calibrated.
-    penalty overrides the calibrated value (used by reduction checks)."""
+    params.laplace_scale set the scale, which no budget calibrated."""
     logs = _floored_logs(pvals, params, alpha)
     m = logs.size
     n, _, _ = _dp_formula(params, m, variant)
@@ -138,9 +140,8 @@ def dp_test(
     if scale is None:
         scale = dp_scale(params, m, variant)
         budget = PrivacyBudget.approx_dp(params.eps, params.delta)
-    if penalty is None:
-        penalty = dp_penalty(params, alpha, m, variant)
-    picked, values = forward_peel_baseline(logs, n, scale, stream)
+    penalty = dp_penalty(params, alpha, m, variant)
+    picked, values = peeling._peel_rounds(logs, n, scale, stream, "laplace")
     # bonf's constant threshold is one float from math.log, which keeps its
     # bits where numpy's SIMD log may not
     if variant == "bh":

@@ -35,7 +35,7 @@ from .simulate import (
 )
 from .thresholds import TestConfig, budget_as_mu, resolve_scales
 
-__all__ = ["main", "UsageError"]
+__all__ = ["main"]
 
 
 class UsageError(Exception):

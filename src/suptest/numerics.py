@@ -70,19 +70,11 @@ def _special_ufuncs():
 
 _special = _special_ufuncs()
 ndtr, ndtri, log_ndtr, erfcx = _special.ndtr, _special.ndtri, _special.log_ndtr, _special.erfcx
+# standard normal CDF Phi(x) of scalars or arrays, saturating to 0 and 1
+std_normal_cdf = ndtr
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF Phi(x).
-
-    Accepts scalars or arrays; evaluated through the complementary error
-    function, absolute error well below 1e-12 everywhere. Saturates
-    smoothly to 0/1 in the extreme tails instead of raising.
-    """
-    return ndtr(x)
 
 
 def std_normal_pdf(x):

@@ -1,4 +1,5 @@
-"""Reversed peeling and the forward-peeling baseline.
+"""Reversed peeling, and the peel rounds it shares with the forward peeling
+of the log-scale comparators.
 
 Reversed peeling releases the inference values of m_peel hypotheses. Each
 of its m_peel rounds is report-noisy-min over the survivors: the survivor
@@ -19,9 +20,9 @@ Around its two generator calls, the head's noise and the tail's binomial
 count, a round does little: list reads of its scalars, a forward pointer
 for the head's end, one array add, an argmin and the noise CDF.
 
-The forward baseline of the log-scale comparators runs the same rounds
-with Laplace noise on log p-values, and keeps each round's winning key.
-Both call _peel_rounds at every scale, which checks the depth, sorts the
+baselines.dp_test, the log-scale comparator, runs the same rounds with
+Laplace noise on log p-values, and keeps each round's winning key. Both
+call _peel_rounds at every scale, which checks the depth, sorts the
 bottom of the keys (all m if m_peel = m) and the rest only if a round's
 tail sample needs them, and at scale 0 draws nothing.
 """
@@ -37,7 +38,7 @@ from .numerics import RandomStream, ndtr, ndtri
 from .privacy import NoiseScales
 from .transform import NOISE_KINDS, clamp_pvalues, draw_noise, key_to_noisy_p
 
-__all__ = ["PeelOutcome", "reversed_peel", "forward_peel_baseline"]
+__all__ = ["PeelOutcome", "reversed_peel"]
 
 # A round's head is made wide enough that the expected number of tail
 # survivors that beat it is at most this (see _head_width). Any width gives
@@ -265,26 +266,3 @@ def _noise_quantile(u: np.ndarray, scale: float, noise_kind: str) -> np.ndarray:
     # log(2u) below 1/2 and -log(2 - 2u) above, each without cancellation
     low = np.log(2.0 * np.minimum(u, 1.0 - u))
     return scale * np.where(u <= 0.5, low, -low)
-
-
-def forward_peel_baseline(
-    log_pvals,
-    m_peel: int,
-    laplace_scale: float,
-    stream: RandomStream,
-) -> tuple:
-    """Forward peeling on the log scale with fresh noise every round.
-
-    Each round is report-noisy-min with i.i.d. Laplace(laplace_scale)
-    noise on the surviving logs, drawn by _peel_rounds from
-    stream.generator(), and records the winner's noisy value. With
-    laplace_scale = 0 the order is the stable sort order of the logs.
-    m_peel must lie in [1, len(log_pvals)].
-
-    Returns:
-        (indices, noisy_values): both length m_peel, in peel order.
-    """
-    if not 0.0 <= laplace_scale < math.inf:
-        raise ValueError("laplace_scale must be finite and nonnegative")
-    return _peel_rounds(np.asarray(log_pvals, dtype=float), m_peel, laplace_scale, stream,
-                        "laplace")

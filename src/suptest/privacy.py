@@ -18,7 +18,6 @@ __all__ = [
     "PrivacyBudget",
     "EXPERIMENT_BUDGET",
     "NoiseScales",
-    "gdp_compose",
     "gdp_to_approx_dp_delta",
     "experiment_mu",
     "calibrate_peeling_scales",

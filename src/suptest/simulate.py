@@ -25,15 +25,10 @@ from .thresholds import FAMILIES, Release, TestConfig, sup_test
 
 __all__ = [
     "METHODS",
-    "METHOD_NAMES",
-    "METRIC_NAMES",
     "OPTION_TYPES",
     "option_value",
     "MethodSpec",
     "SimScenario",
-    "LabeledPValues",
-    "MetricsTable",
-    "gen_pvalues",
     "run_method",
     "run_replications",
     "desk_scenario",
@@ -77,8 +72,6 @@ METHODS = {
               "limits": _EPS_DELTA_ONLY},
     "dp-bonf": {"run": _dp, "reads": _DP_READS, "raw": False, "limits": _EPS_DELTA_ONLY},
 }
-
-METHOD_NAMES = tuple(METHODS)
 
 METRIC_NAMES = ("fdr", "fwer", "power", "n_reject", "v_tau_frac")
 

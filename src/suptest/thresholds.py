@@ -29,7 +29,7 @@ from .privacy import (
     calibrate_peeling_scales,
     experiment_mu,
 )
-from .transform import NOISE_KINDS
+from .transform import NOISE_KINDS, checked_pvalues
 
 __all__ = [
     "FAMILIES",
@@ -38,8 +38,6 @@ __all__ = [
     "TestConfig",
     "AdaptiveInfo",
     "Release",
-    "threshold_values",
-    "select_step",
     "reject_peeled",
     "sup_test",
     "resolve_scales",
@@ -173,7 +171,9 @@ def threshold_values(family: ThresholdFamily, j) -> np.ndarray:
 
 def _step(values: np.ndarray, thresholds, zeta: int) -> int:
     # the step rule on values sorted nondecreasing against their thresholds
-    # (an array of the same length, or one float for a constant threshold)
+    # (an array of the same length, or one float for a constant threshold):
+    # step-up (zeta 1) picks the largest j with v_(j) <= lambda_j, else 0;
+    # step-down (zeta 0) the count before the first violation
     ok = values <= thresholds
     if zeta == 1:
         hits = np.flatnonzero(ok)
@@ -190,20 +190,6 @@ def _stepped(values: np.ndarray, thresholds, indices: np.ndarray, zeta: int) -> 
     order = np.argsort(values, kind="stable")
     j_star = _step(values[order], thresholds, zeta)
     return j_star, np.sort(indices[order[:j_star]])
-
-
-def select_step(sorted_pvals, family: ThresholdFamily, zeta: int) -> int:
-    """Pick j_star from sorted values against the family thresholds.
-
-    zeta = 1 (step-up): largest j with p_(j) <= lambda_j, else 0.
-    zeta = 0 (step-down): one less than the first violation; the full
-    length if nothing violates; 0 if the first entry already does.
-    j_star = 0 encodes the empty rejection set.
-    """
-    s = np.asarray(sorted_pvals, dtype=float)
-    if s.size > 1 and np.any(np.diff(s) < 0.0):
-        raise ValueError("input must be sorted nondecreasing")
-    return _step(s, threshold_values(family, np.arange(1, s.size + 1)), zeta)
 
 
 def reject_peeled(peel: peeling.PeelOutcome, family: ThresholdFamily, zeta: int,
@@ -267,4 +253,4 @@ def sup_test(pvals, config: TestConfig, stream: Optional[RandomStream] = None) -
     """
     if stream is None:
         stream = RandomStream(config.seed)
-    return _sup_release(np.asarray(pvals, dtype=float), config, config.m_peel, stream)
+    return _sup_release(checked_pvalues(pvals), config, config.m_peel, stream)

@@ -22,7 +22,6 @@ import numpy as np
 from .numerics import normal_laplace_cdf, std_normal_cdf
 
 __all__ = [
-    "P_CLAMP",
     "NOISE_KINDS",
     "checked_pvalues",
     "clamp_pvalues",
@@ -41,17 +40,16 @@ _ENTRY_HI = 1.0 - 1e-16
 
 
 def checked_pvalues(pvals) -> np.ndarray:
-    """pvals as a nonempty float array of at most one dimension, every value
-    a number in [0, 1]. Every method checks its p-values here, directly or
-    through clamp_pvalues.
+    """pvals as a nonempty 1-D float array, every value a number in [0, 1].
+    Every method checks its p-values here.
 
     Raises:
-        ValueError: naming the shape of an array of two or more dimensions;
-            if pvals is empty; or naming the first NaN, infinite or
-            out-of-range value.
+        ValueError: naming the shape of a scalar or of an array of two or
+            more dimensions; if pvals is empty; or naming the first NaN,
+            infinite or out-of-range value.
     """
     p = np.asarray(pvals, dtype=float)
-    if p.ndim > 1:
+    if p.ndim != 1:
         raise ValueError(f"p-values must be a 1-D array, not shape {p.shape}")
     if p.size == 0:
         raise ValueError("p-value array is empty")
@@ -64,8 +62,11 @@ def checked_pvalues(pvals) -> np.ndarray:
 
 def clamp_pvalues(pvals) -> np.ndarray:
     """Checked p-values (see checked_pvalues) clamped into
-    [P_CLAMP, 1 - P_CLAMP] as a float array."""
-    return np.clip(checked_pvalues(pvals), P_CLAMP, 1.0 - P_CLAMP)
+    [P_CLAMP, 1 - P_CLAMP] as a float array; a scalar is checked as one
+    value and stays a scalar."""
+    p = np.asarray(pvals, dtype=float)
+    checked_pvalues(p.reshape(1) if p.ndim == 0 else p)
+    return np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
 
 
 def draw_noise(gen: np.random.Generator, scale: float, size: int,

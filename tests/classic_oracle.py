@@ -3,7 +3,8 @@
 Textbook BH, BY, Bonferroni and Holm on raw p-values, written out with
 their own thresholds, step-up and step-down, and sharing no code with
 `suptest.thresholds`. `suptest.baselines.classic_procedure`, which
-selects through `select_step`, must reproduce it exactly.
+selects through the step rule of every release
+(`suptest.thresholds.reject_peeled`), must reproduce it exactly.
 """
 
 from __future__ import annotations

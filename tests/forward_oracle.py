@@ -3,10 +3,12 @@
 The literal loop of the Dwork, Su & Zhang forward peeling as first written:
 each round adds a fresh Laplace row to the surviving log p-values, peels
 the first minimiser, and drops it from both arrays with `np.delete`.
-`suptest.peeling.forward_peel_baseline` reproduces it bit for bit with
-laplace_scale = 0; with noise its rounds draw only near the bottom of the
-logs, so its picks and noisy values match these in distribution, not bit
-for bit. Each round allocates, so it is for test instances only.
+The forward peel of `suptest.baselines.dp_test`, which is
+`suptest.peeling._peel_rounds` with Laplace noise, reproduces it bit for
+bit with laplace_scale = 0; with noise its rounds draw only near the
+bottom of the logs, so its picks and noisy values match these in
+distribution, not bit for bit. Each round allocates, so it is for test
+instances only.
 """
 
 from __future__ import annotations

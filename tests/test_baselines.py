@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from classic_oracle import classic_procedure as classic_oracle
 from forward_oracle import forward_peel_delete
-from suptest import peeling
+from suptest import baselines, peeling
 from suptest.baselines import (
     DworkParams,
     classic_procedure,
@@ -15,7 +15,6 @@ from suptest.baselines import (
     dp_test,
 )
 from suptest.numerics import RandomStream
-from suptest.peeling import forward_peel_baseline
 from suptest.thresholds import FAMILIES
 from test_peeling import _homogeneity_pvalue
 from theory_oracle import theorem8_check
@@ -87,8 +86,9 @@ _P = st.one_of(st.sampled_from([0.0, 1.0, 1e-3, 0.01, 0.05]), st.floats(0.0, 1.0
 @given(pvals=st.lists(_P, min_size=1, max_size=60), family=st.sampled_from(FAMILIES),
        alpha=st.floats(0.01, 0.5))
 def test_classic_procedure_matches_textbook_oracle(pvals, family, alpha):
-    # classic_procedure selects through select_step; the oracle writes the
-    # textbook thresholds and step rules out on its own
+    # classic_procedure selects through the step rule of every release
+    # (thresholds.reject_peeled); the oracle writes the textbook thresholds
+    # and step rules out on its own
     p = np.array(pvals)
     assert np.array_equal(classic_procedure(p, family, alpha).rejected_indices,
                           classic_oracle(p, family, alpha))
@@ -103,16 +103,14 @@ def test_dwork_params_validation():
         DworkParams(eta=1e-4, nu=0.1, eps=0.5, delta=1e-3, m_peel=0)
 
 
-# each checked field of DworkParams in turn, and the forward peel's scale;
-# the last word of a key is the name its error message carries
+# each checked field of DworkParams in turn; the key is the name its error
+# message carries
 _DWORK_CHECKED = {
     "eta": lambda x: DworkParams(eta=x),
     "nu": lambda x: DworkParams(nu=x),
     "eps": lambda x: DworkParams(eps=x),
     "delta": lambda x: DworkParams(delta=x),
     "laplace_scale": lambda x: DworkParams(laplace_scale=x),
-    "forward_peel laplace_scale": lambda x: forward_peel_baseline(
-        np.log([0.1, 0.2, 0.3]), 2, x, RandomStream(0)),
 }
 
 
@@ -120,7 +118,7 @@ _DWORK_CHECKED = {
 @pytest.mark.parametrize("checked", sorted(_DWORK_CHECKED))
 def test_dwork_params_refuse_non_finite_values(checked, bad):
     # NaN fails every comparison, so a check written as x <= 0 would pass it
-    with pytest.raises(ValueError, match=checked.split()[-1]):
+    with pytest.raises(ValueError, match=checked):
         _DWORK_CHECKED[checked](bad)
 
 
@@ -132,13 +130,14 @@ def test_dp_test_refuses_unknown_variant_and_bad_m_peel():
                        match=r"^m_peel \(11\) cannot exceed the number of hypotheses \(10\)$"):
         dp_test(p, DworkParams(m_peel=11), 0.1, RandomStream(0), "bh")
     with pytest.raises(ValueError, match="m_peel must be a positive integer"):
-        forward_peel_baseline(np.log(p), 0, 1.0, RandomStream(0))
+        peeling._peel_rounds(np.log(p), 0, 1.0, RandomStream(0), "laplace")
 
 
 def _dp_oracle(p, params, alpha, stream, variant, penalty):
     """The comparator written out from the baselines module docstring: floor
     at nu, take logs, forward-peel n rounds with the eager loop, then step
-    up against log thresholds minus the penalty."""
+    up against log thresholds minus the penalty, or minus penalty where it
+    is not None."""
     m = len(p)
     nu = alpha / (2 * m) if params.nu is None else params.nu
     logs = np.log(np.maximum(p, nu))
@@ -186,8 +185,13 @@ def test_dp_test_matches_docstring_oracle(pvals, variant, alpha, eta, eps, nu,
                          laplace_scale=laplace_scale)
     # bit for bit without noise; with noise the lazy forward peel matches
     # the oracle's eager loop in distribution only (the frequency test
-    # below), so a noisy run is checked for what any run must hold
-    got = dp_test(p, params, alpha, RandomStream(seed), variant, penalty).rejected_indices
+    # below), so a noisy run is checked for what any run must hold. A zero
+    # penalty replaces dp_penalty, which dp_test looks up when it runs.
+    with pytest.MonkeyPatch.context() as patch:
+        if penalty is not None:
+            patch.setattr(baselines, "dp_penalty", lambda *args: penalty)
+        got = dp_test(p, params, alpha, RandomStream(seed), variant).rejected_indices
+        again = dp_test(p, params, alpha, RandomStream(seed), variant).rejected_indices
     if laplace_scale == 0.0:
         assert got.tolist() == _dp_oracle(p, params, alpha, RandomStream(seed), variant,
                                           penalty)
@@ -195,7 +199,6 @@ def test_dp_test_matches_docstring_oracle(pvals, variant, alpha, eta, eps, nu,
         n = m_peel if variant == "bh" else p.size
         assert got.size <= n and np.all(np.diff(got) > 0)
         assert np.all((0 <= got) & (got < p.size))
-        again = dp_test(p, params, alpha, RandomStream(seed), variant, penalty).rejected_indices
         assert got.tobytes() == again.tobytes()
 
 
@@ -225,14 +228,15 @@ def test_dp_penalty_golden_values():
     assert abs(dp_penalty(params, 0.1, 5000, "bonf") - 0.2071931271) < 1e-9
 
 
-def test_dp_bh_zero_noise_zero_penalty_is_classic_on_peeled_set():
+def test_dp_bh_zero_noise_zero_penalty_is_classic_on_peeled_set(monkeypatch):
     g = np.random.default_rng(21)
     p = g.uniform(size=80)
     p[:12] *= 1e-4
     m = p.size
     params = DworkParams(eta=1e-4, nu=1e-8, eps=0.5, delta=1e-3,
                          m_peel=m, laplace_scale=0.0)
-    rej = dp_test(p, params, 0.1, RandomStream(0), "bh", penalty=0.0).rejected_indices
+    monkeypatch.setattr(baselines, "dp_penalty", lambda *args: 0.0)
+    rej = dp_test(p, params, 0.1, RandomStream(0), "bh").rejected_indices
     ref = classic_procedure(p, "bh", 0.1).rejected_indices
     assert np.array_equal(rej, ref)
 

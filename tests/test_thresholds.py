@@ -10,14 +10,13 @@ from suptest.adaptive import AdaptiveConfig, adaptive_sup_test
 from suptest.numerics import RandomStream
 from suptest.peeling import PeelOutcome, reversed_peel
 from suptest.privacy import NoiseScales, PrivacyBudget
-from suptest.simulate import METHOD_NAMES, MethodSpec, run_method
+from suptest.simulate import METHODS, MethodSpec, run_method
 from suptest.thresholds import (
     FAMILIES,
     TestConfig,
     ThresholdFamily,
     reject_peeled,
     resolve_scales,
-    select_step,
     sup_test,
     threshold_values,
 )
@@ -69,38 +68,55 @@ def test_threshold_family_validation():
         threshold_values(ThresholdFamily("bh", 0.1, 10), [0])
 
 
+def _j_star(sorted_values, fam, zeta):
+    # the step rule of every release, on values already in sorted order
+    return reject_peeled(PeelOutcome(np.arange(sorted_values.size), sorted_values), fam,
+                         zeta).j_star
+
+
+def _step_by_hand(sorted_values, lam, zeta):
+    # the step rule written out on its own: step-up takes the largest j with
+    # v_(j) <= lambda_j, step-down stops before the first violation
+    n = len(sorted_values)
+    if zeta == 1:
+        return max((j for j in range(1, n + 1) if sorted_values[j - 1] <= lam[j - 1]),
+                   default=0)
+    j = 0
+    while j < n and sorted_values[j] <= lam[j]:
+        j += 1
+    return j
+
+
 def test_select_step_up():
     fam = ThresholdFamily("bh", 0.5, 4)  # thresholds .125 .25 .375 .5
-    assert select_step(np.array([0.10, 0.30, 0.35, 0.9]), fam, 1) == 3
-    assert select_step(np.array([0.12, 0.25, 0.4, 0.6]), fam, 1) == 2
-    assert select_step(np.array([0.9, 0.95, 0.99, 1.0]), fam, 1) == 0
-    assert select_step(np.array([0.1, 0.2, 0.3, 0.5]), fam, 1) == 4
+    assert _j_star(np.array([0.10, 0.30, 0.35, 0.9]), fam, 1) == 3
+    assert _j_star(np.array([0.12, 0.25, 0.4, 0.6]), fam, 1) == 2
+    assert _j_star(np.array([0.9, 0.95, 0.99, 1.0]), fam, 1) == 0
+    assert _j_star(np.array([0.1, 0.2, 0.3, 0.5]), fam, 1) == 4
 
 
 def test_select_step_down():
     fam = ThresholdFamily("holm", 0.4, 4)  # thresholds .1 .1333 .2 .4
-    assert select_step(np.array([0.05, 0.2, 0.21, 0.9]), fam, 0) == 1
-    assert select_step(np.array([0.2, 0.3, 0.4, 0.9]), fam, 0) == 0
-    assert select_step(np.array([0.01, 0.02, 0.03, 0.04]), fam, 0) == 4
+    assert _j_star(np.array([0.05, 0.2, 0.21, 0.9]), fam, 0) == 1
+    assert _j_star(np.array([0.2, 0.3, 0.4, 0.9]), fam, 0) == 0
+    assert _j_star(np.array([0.01, 0.02, 0.03, 0.04]), fam, 0) == 4
     # truncated list: no violation among the first two -> both kept
-    assert select_step(np.array([0.05, 0.12]), fam, 0) == 2
+    assert _j_star(np.array([0.05, 0.12]), fam, 0) == 2
 
 
 def test_select_step_validates_input():
     fam = ThresholdFamily("bh", 0.1, 5)
-    with pytest.raises(ValueError):
-        select_step(np.array([0.3, 0.2]), fam, 1)
-    with pytest.raises(ValueError):
-        select_step(np.array([0.1, 0.2]), fam, 2)
-    assert select_step(np.array([]), fam, 1) == 0
+    with pytest.raises(ValueError, match="zeta must be 0 or 1"):
+        _j_star(np.array([0.1, 0.2]), fam, 2)
+    assert _j_star(np.array([]), fam, 1) == 0
 
 
 def test_step_up_vs_step_down_on_same_family():
     # step-up can jump a local violation, step-down stops at it
     fam = ThresholdFamily("bh", 0.8, 4)  # thresholds .2 .4 .6 .8
     s = np.array([0.3, 0.35, 0.5, 0.7])
-    assert select_step(s, fam, 1) == 4
-    assert select_step(s, fam, 0) == 0
+    assert _j_star(s, fam, 1) == 4
+    assert _j_star(s, fam, 0) == 0
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.5, 4.0])
@@ -118,7 +134,7 @@ def test_reject_peeled_steps_like_select_step_on_the_sorted_values(family, zeta,
         values = np.round(lam * g.uniform(0.0, 2.0, n), 3)
         indices = g.permutation(m)[:n]
         release = reject_peeled(PeelOutcome(indices, values), fam, zeta)
-        assert release.j_star == select_step(np.sort(values), fam, zeta)
+        assert release.j_star == _step_by_hand(np.sort(values), lam, zeta)
         rejected = release.rejected_indices
         assert rejected.size == release.j_star and np.all(np.diff(rejected) > 0)
         if rejected.size:
@@ -150,7 +166,7 @@ def test_select_step_up_is_largest_hit(case):
     s, fam = case
     lam = threshold_values(fam, np.arange(1, s.size + 1))
     hits = [j for j in range(1, s.size + 1) if s[j - 1] <= lam[j - 1]]
-    assert select_step(s, fam, 1) == max(hits, default=0)
+    assert _j_star(s, fam, 1) == max(hits, default=0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -161,7 +177,7 @@ def test_select_step_down_stops_at_first_violation(case):
     j_star = 0
     while j_star < s.size and s[j_star] <= lam[j_star]:
         j_star += 1
-    assert select_step(s, fam, 0) == j_star
+    assert _j_star(s, fam, 0) == j_star
 
 
 @settings(max_examples=300, deadline=None)
@@ -169,7 +185,7 @@ def test_select_step_down_stops_at_first_violation(case):
 def test_select_step_nondecreasing_in_alpha(case, other, zeta):
     s, fam = case
     lo, hi = sorted((fam.alpha, other))
-    pick = [select_step(s, ThresholdFamily(fam.kind, a, fam.m, fam.pi0_inv_scale), zeta)
+    pick = [_j_star(s, ThresholdFamily(fam.kind, a, fam.m, fam.pi0_inv_scale), zeta)
             for a in (lo, hi)]
     assert pick[0] <= pick[1]
 
@@ -353,7 +369,7 @@ def test_releases_reject_bad_pvalues(release, bad):
 
 
 @pytest.mark.parametrize("bad", _BAD_PVALUES)
-@pytest.mark.parametrize("method", METHOD_NAMES)
+@pytest.mark.parametrize("method", list(METHODS))
 def test_every_method_rejects_bad_pvalues(method, bad):
     p = np.linspace(1e-6, 0.9, 40)
     p[7] = bad

@@ -55,6 +55,14 @@ def test_every_method_refuses_pvalues_of_two_dimensions(method, shape):
         _METHODS[method](p)
 
 
+@pytest.mark.parametrize("method", sorted(_METHODS))
+def test_every_method_refuses_a_scalar_pvalue(method):
+    # a lone float or a 0-d array is refused by the same rule, not indexed
+    for p in (0.01, np.asarray(0.01)):
+        with pytest.raises(ValueError, match=re.escape("must be a 1-D array, not shape ()")):
+            _METHODS[method](p)
+
+
 def test_noisy_p_gaussian_values():
     # Phi(Phi^-1(0.01)/sqrt(2)) reference; the zero-scale passthrough is
     # covered by test_noisy_row_deterministic_and_zero_scale
