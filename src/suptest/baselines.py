@@ -110,6 +110,8 @@ def dp_scale(params: DworkParams, m: int, variant: str) -> float:
 
 
 def _floored_logs(pvals, params: DworkParams, alpha: float) -> np.ndarray:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0,1)")
     p = checked_pvalues(pvals)
     nu = 0.5 * alpha / p.size if params.nu is None else params.nu
     return np.log(np.maximum(p, nu))

@@ -6,7 +6,8 @@ Three subcommands:
     simulate  run a scenario file or a packaged preset, emit metrics CSV
     privacy   budget conversions and noise-scale calibration
 
-Exit codes: 0 success, 2 usage or data error, 1 internal error.
+Exit codes: 0 success; 2 for a refusal of bad flags, input or options,
+each a ValueError; 1 for anything else, an internal error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import re
 import sys
 from typing import Optional, get_type_hints
 
@@ -36,10 +36,6 @@ from .simulate import (
 from .thresholds import TestConfig, budget_as_mu, resolve_scales
 
 __all__ = ["main"]
-
-
-class UsageError(Exception):
-    """Bad flags or bad input data; mapped to exit code 2."""
 
 
 # ---------------------------------------------------------------- run
@@ -66,26 +62,26 @@ def _parse_rows(text: str):
     numbered = [(i, line.strip()) for i, line in enumerate(text.splitlines(), 1)
                 if line.strip()]
     if not numbered:
-        raise UsageError("no p-values in input")
+        raise ValueError("no p-values in input")
     p_col, id_col, header = _columns(numbered[0][1])
     data = numbered[header:]
     if not data:
-        raise UsageError("no p-values in input")
+        raise ValueError("no p-values in input")
 
     width = max(p_col, p_col if id_col is None else id_col) + 1
     ids, tokens, pvals = [], [], []
     for ln, line in data:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) < width:
-            raise UsageError(f"line {ln}: expected at least {width} fields")
+            raise ValueError(f"line {ln}: expected at least {width} fields")
         try:
             if not _plain(fields[p_col]):
                 raise ValueError
             p = float(fields[p_col])
         except ValueError:
-            raise UsageError(f"line {ln}: cannot parse p-value {fields[p_col]!r}")
+            raise ValueError(f"line {ln}: cannot parse p-value {fields[p_col]!r}")
         if not 0.0 <= p <= 1.0:
-            raise UsageError(f"line {ln}: p-value {p!r} outside [0, 1]")
+            raise ValueError(f"line {ln}: p-value {p!r} outside [0, 1]")
         pvals.append(p)
         tokens.append(fields[p_col])
         ids.append(fields[id_col] if id_col is not None else str(len(ids) + 1))
@@ -179,25 +175,23 @@ def _read_text(path: str) -> str:
     # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8"
     # exports start with; left in, it would hide an `id,p` header
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8-sig")
     except OSError as e:
-        raise UsageError(f"cannot read {path}: {e.strerror}")
-    except UnicodeDecodeError:
-        # the error's offset is per chunk: find the bad byte, escaped to U+DCxx, in the whole text
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            text = fh.read()
-        at = re.search("[\udc80-\udcff]", text).start()
-        line = len((text[:at] + "?").splitlines())  # "?": the bad byte ends no line
-        raise UsageError(f"cannot read {path}: line {line}: "
-                         f"byte 0x{ord(text[at]) - 0xDC00:02x} is not UTF-8")
+        raise ValueError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        # e.object is the data after the byte-order mark, so e.start is an
+        # offset into it; "?": the bad byte ends no line
+        line = len((e.object[:e.start].decode() + "?").splitlines())
+        raise ValueError(f"cannot read {path}: line {line}: "
+                         f"byte 0x{e.object[e.start]:02x} is not UTF-8")
 
 
 def _open_output(path: str):
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as e:
-        raise UsageError(f"cannot write {path}: {e.strerror}")
+        raise ValueError(f"cannot write {path}: {e.strerror}")
 
 
 def _privacy_parts(release) -> list:
@@ -276,16 +270,16 @@ def _parse_scenario_file(text: str) -> SimScenario:
         specs.append(spec)
 
     if errors:
-        raise UsageError("invalid scenario:\n  " + "\n  ".join(errors))
+        raise ValueError("invalid scenario:\n  " + "\n  ".join(errors))
     try:
         return SimScenario(methods=tuple(specs), **kwargs)
     except (TypeError, ValueError) as e:
-        raise UsageError(f"invalid scenario: {e}")
+        raise ValueError(f"invalid scenario: {e}")
 
 
 def cmd_simulate(args) -> int:
     if bool(args.scenario) == bool(args.preset):
-        raise UsageError("provide exactly one of --scenario or --preset")
+        raise ValueError("provide exactly one of --scenario or --preset")
     if args.scenario:
         scenario = _parse_scenario_file(_read_text(args.scenario))
     else:
@@ -295,7 +289,7 @@ def cmd_simulate(args) -> int:
     try:
         scenario = dataclasses.replace(scenario, **overrides)
     except ValueError as e:
-        raise UsageError(f"invalid scenario: {e}")
+        raise ValueError(f"invalid scenario: {e}")
     # opened before the study runs, so a bad path fails at once
     with _open_output(args.output) if args.output else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(run_replications(scenario).to_csv())
@@ -315,7 +309,7 @@ def cmd_privacy(args) -> int:
         elif args.eps is not None and args.delta is not None:
             budget = PrivacyBudget.approx_dp(args.eps, args.delta)
         else:
-            raise UsageError("calibrate needs --mu, or --eps with --delta")
+            raise ValueError("calibrate needs --mu, or --eps with --delta")
         config = TestConfig("bh", budget=budget, gs=args.gs, m_peel=args.m_peel)
         scales = resolve_scales(config, args.m_peel)
         print(f"sigma0={scales.sigma0:.10g}")
@@ -378,7 +372,7 @@ def main(argv: Optional[list] = None) -> int:
         return int(e.code) if e.code else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive

@@ -62,11 +62,8 @@ def checked_pvalues(pvals) -> np.ndarray:
 
 def clamp_pvalues(pvals) -> np.ndarray:
     """Checked p-values (see checked_pvalues) clamped into
-    [P_CLAMP, 1 - P_CLAMP] as a float array; a scalar is checked as one
-    value and stays a scalar."""
-    p = np.asarray(pvals, dtype=float)
-    checked_pvalues(p.reshape(1) if p.ndim == 0 else p)
-    return np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
+    [P_CLAMP, 1 - P_CLAMP]."""
+    return np.clip(checked_pvalues(pvals), P_CLAMP, 1 - P_CLAMP)
 
 
 def draw_noise(gen: np.random.Generator, scale: float, size: int,

@@ -87,7 +87,9 @@ _LONG_PREFIX = b"".join(b"h%d,0.5\n" % i for i in range(1200))  # past the first
     (b"id,p\nh1,0.5\nna\xefve,0.01\n", "line 3: byte 0xef"),
     (b"\xef\xbb\xbfid,p\r\nh1,0.5\r\n\r\nh2,0.01\xff\r\n", "line 4: byte 0xff"),
     (b"id,p\n" + _LONG_PREFIX + b"h\xe9,0.01\n", "line 1202: byte 0xe9"),
-], ids=["line-3", "bom-crlf", "past-8KiB"])
+    (b"\xef\xbb\xbfid,p\r" + _LONG_PREFIX.replace(b"\n", b"\r") + b"h\xe9,0.01\r",
+     "line 1202: byte 0xe9"),
+], ids=["line-3", "bom-crlf", "past-8KiB", "bom-cr-past-8KiB"])
 def test_run_and_simulate_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, data,
                                                                      where):
     # the line as the parsers count it, not the decoder's offset in its chunk
@@ -98,6 +100,16 @@ def test_run_and_simulate_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, cap
                  ["simulate", "--scenario", str(path)]):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: cannot read {path}: {where} is not UTF-8\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-1", "nan"])
+def test_run_refuses_a_level_outside_the_unit_interval(pfile, capsys, alpha):
+    # every registry method, the dp-* comparators included, refuses the level
+    # with exit 2, NaN too
+    path, _ = pfile
+    for name in simulate.METHODS:
+        assert main(["run", "--input", str(path), "--method", name, "--alpha", alpha]) == 2
+        assert capsys.readouterr().err == "error: alpha must lie in (0,1)\n"
 
 
 def test_run_sup_round_trip(pfile, capsys):
@@ -303,7 +315,7 @@ def _csv_texts(draw):
 def _parse_outcome(parse, text):
     try:
         ids, tokens, pvals = parse(text)
-    except cli.UsageError as e:
+    except ValueError as e:
         return str(e)
     return ids, tokens, pvals.dtype.str, pvals.tobytes()
 
@@ -571,7 +583,7 @@ def test_run_option_flags_reach_the_method_spec(pfile, capsys, monkeypatch):
 
     def stop(spec, pvals, alpha, stream):
         seen.append(spec.options)
-        raise cli.UsageError("stopped")
+        raise ValueError("stopped")
     monkeypatch.setattr(cli, "run_method", stop)
     for dest, flag in flags.items():
         # 3 is out of range for the options that lie in (0, 1)

@@ -140,7 +140,7 @@ def test_reversed_peel_ties_near_one_equal_dense_oracle(noise_kind, m, scale, se
     stream = RandomStream(seed)
     out = _assert_equals_dense_oracle(np.ones(m), m, NoiseScales(scale, scale), stream,
                                       noise_kind)
-    q = std_normal_quantile(peeling.clamp_pvalues(1.0))
+    q = std_normal_quantile(peeling.clamp_pvalues(np.ones(1)))
     gen = stream.child(1).generator()
     alive, order = list(range(m)), []
     while alive:

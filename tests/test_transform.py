@@ -20,7 +20,7 @@ from suptest.transform import (
 
 def _noisy_p(p, scale, z, kind):
     # the released transform: clamp, probit, add the noise, map back
-    return key_to_noisy_p(std_normal_quantile(clamp_pvalues(p)) + z, scale, kind)
+    return key_to_noisy_p(std_normal_quantile(clamp_pvalues(np.atleast_1d(p))) + z, scale, kind)
 
 
 def _drawn_row(p, scale, stream, kind):
@@ -61,6 +61,31 @@ def test_every_method_refuses_a_scalar_pvalue(method):
     for p in (0.01, np.asarray(0.01)):
         with pytest.raises(ValueError, match=re.escape("must be a 1-D array, not shape ()")):
             _METHODS[method](p)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reversed_peel(0.5, 1, NoiseScales(0.1, 0.2), RandomStream(0)),
+    lambda: clamp_pvalues(0.5),
+], ids=["reversed_peel", "clamp_pvalues"])
+def test_the_peel_and_the_clamp_refuse_a_scalar_pvalue(call):
+    # neither keeps a scalar form: a lone value gets the methods' refusal
+    with pytest.raises(ValueError, match=re.escape("p-values must be a 1-D array, not shape ()")):
+        call()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -1.0, np.nan])
+@pytest.mark.parametrize("method", sorted(_METHODS))
+def test_every_method_refuses_a_level_outside_the_unit_interval(method, alpha):
+    p = np.full(10, 0.5)
+    calls = {
+        "sup_test": lambda: sup_test(p, TestConfig("bh", alpha=alpha, m_peel=5)),
+        "adaptive_sup_test": lambda: adaptive_sup_test(p, TestConfig("bh", alpha=alpha),
+                                                       AdaptiveConfig()),
+        "classic_procedure": lambda: classic_procedure(p, "bh", alpha),
+        "dp_test": lambda: dp_test(p, DworkParams(m_peel=5), alpha, RandomStream(1), "bh"),
+    }
+    with pytest.raises(ValueError, match=re.escape("alpha must lie in (0,1)")):
+        calls[method]()
 
 
 def test_noisy_p_gaussian_values():
